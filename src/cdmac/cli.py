@@ -28,15 +28,15 @@ def _parse_T(text: str):
         return macdonald.T_SPECIAL
     if text in ("symbolic", "T"):
         return Mon.T()
-    if text.startswith("t^"):
-        return Mon.t(int(text[2:]))
-    if text.startswith("q^"):
-        return Mon.q(int(text[2:]))
     try:
+        if text.startswith("t^"):
+            return Mon.t(int(text[2:]))
+        if text.startswith("q^"):
+            return Mon.q(int(text[2:]))
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse T value {text!r}; use t^2/q, symbolic, "
-                         "t^K, q^K or a rational like 5/7")
+                         "t^K, q^K or a rational like 5/7") from None
 
 
 def _compute(args) -> int:
@@ -56,7 +56,7 @@ def _compute(args) -> int:
         p = walgebra.phi_principal(family, args.n, args.r, budget=args.budget)
     else:
         raise UsageError(f"unknown route {args.via!r}")
-    # gcd-reduce for display so equal values print identically on every route
+    # reduce for display so equal values print identically on every route
     print(_format_poly(p.canonical(), args))
     return EXIT_OK
 

@@ -99,7 +99,7 @@ class LaurentPoly:
         return LaurentPoly(self.rank, {e: fn(c) for e, c in self.terms.items()})
 
     def canonical(self) -> "LaurentPoly":
-        """gcd-reduce every Scalar coefficient (display normalization)."""
+        """Reduce every Scalar coefficient to lowest terms (display normalization)."""
         return self.map_coefficients(
             lambda c: c.canonical() if isinstance(c, Scalar) else c)
 

@@ -377,8 +377,12 @@ MON_ONE = Mon(1)
 # Scalar arithmetic never reduces by polynomial gcd (equality is decided by
 # cross-multiplication).  Serialization, however, wants one canonical
 # representative per value so that mathematically equal results print
-# identically whichever route produced them.  A primitive-PRS gcd over
-# Z[u, v, w] is enough for that boundary.
+# identically whichever route produced them.  Tableau-route coefficients
+# reach that boundary with their denominators already split into irreducible
+# factors and are reduced by trial division (scalar._cancel_den_factors).
+# The primitive-PRS gcd over Z[u, v, w] below serves the rest: coefficients
+# of the inversion and correlation routes, and denominators with a binomial
+# whose coefficients are not +-1 (a rational T).
 # ---------------------------------------------------------------------------
 
 def _split_by_var(terms: dict[int, int], var: int):
@@ -491,7 +495,11 @@ def _gcd_packed(a: dict[int, int], b: dict[int, int], var: int = 0) -> dict[int,
 
 
 def _dict_exact_div(num: dict[int, int], den: dict[int, int], var: int) -> dict[int, int]:
-    """Exact division of packed integer polynomials (den divides num)."""
+    """Exact division of packed integer polynomials (den divides num).
+
+    Raises ArithmeticError when den does not divide num, so it doubles as a
+    divisibility test.
+    """
     if not num:
         return {}
     if den == {0: 1}:

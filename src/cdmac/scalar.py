@@ -3,22 +3,30 @@
 A Scalar is a fraction of two SparsePoly values.  Normalization removes the
 monomial content common to numerator and denominator and the shared rational
 content, and fixes the sign so the denominator's leading coefficient (in the
-graded-lex order) is positive.  No multivariate gcd is ever computed:
+graded-lex order) is positive.  Arithmetic never computes a multivariate gcd:
 equality is decided by cross-multiplication.
 
 FactoredScalar is the workhorse for building the big tableau sums: it keeps a
 product of binomial factors (1 - c*u^a v^b w^c) unexpanded, so that sums of
 many q-shifted-factorial ratios can share a true least-common denominator
-instead of the naive product of denominators.
+instead of the naive product of denominators.  sum_factored hands that
+denominator's binomial factors on with its result, and Scalar.canonical (the
+serialization boundary) cancels through them: every binomial with unit
+coefficients splits into irreducible cyclotomic factors, which are removed
+from the numerator by trial division.  The primitive-PRS gcd of poly.py runs
+only for the rest: values built by plain Scalar arithmetic (the inversion and
+correlation routes) and denominators with a binomial whose coefficients are
+not +-1 (a rational T such as 5/7).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 
 from .errors import PoleError
-from .poly import Mon, SparsePoly
+from .poly import Mon, SparsePoly, _dict_exact_div, _pack, _unpack
 
 _ZERO_P = SparsePoly.zero()
 _ONE_P = SparsePoly.one()
@@ -201,16 +209,24 @@ class Scalar:
         """The gcd-reduced representative, for serialization boundaries only.
 
         Arithmetic never calls this; values compare equal to their canonical
-        form by cross-multiplication.
+        form by cross-multiplication.  A sum_factored result is reduced
+        through its known denominator factors; the primitive-PRS gcd runs on
+        what they leave undecided and on every other value.  The reduced
+        representative is unique, so both ways print the same bytes.
         """
         from .poly import poly_gcd
         if self.is_zero() or self.den == _ONE_P:
             return self
-        g = poly_gcd(self.num, self.den)
-        if g.is_monomial():
-            return self
-        num = _exact_poly_div(self.num, g)
-        den = _exact_poly_div(self.den, g)
+        num, den = self.num, self.den
+        factors = getattr(self, "den_factors", None)
+        if factors is not None:
+            num, den, complete = _cancel_den_factors(num, den, factors)
+            if complete:
+                return Scalar(num, den)
+        g = poly_gcd(num, den)
+        if not g.is_monomial():
+            num = _exact_poly_div(num, g)
+            den = _exact_poly_div(den, g)
         return Scalar(num, den)
 
     def eval(self, u, v, w) -> Fraction:
@@ -238,9 +254,105 @@ class Scalar:
 
 
 def _exact_poly_div(num: SparsePoly, den: SparsePoly) -> SparsePoly:
-    from .poly import _dict_exact_div
     q = _dict_exact_div(num.prim, den.prim, 0)
     return SparsePoly(num.content / den.content, q)
+
+
+class _FactoredDenScalar(Scalar):
+    """A sum_factored result with its denominator's factorization attached.
+
+    den is a monomial times the product of p**need over den_factors, a tuple
+    of (primitive binomial SparsePoly, need) pairs.  Plain Scalar arithmetic
+    on it yields plain Scalars, so the attachment costs the arithmetic nothing.
+    """
+
+    __slots__ = ("den_factors",)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Integer coefficients of the cyclotomic polynomial Phi_d, lowest first."""
+    p = [-1] + [0] * (d - 1) + [1]  # x^d - 1 is the product of Phi_e over e | d
+    for e in range(1, d):
+        if d % e == 0:
+            m = _cyclotomic(e)
+            deg = len(m) - 1
+            quo = [0] * (len(p) - deg)
+            for i in range(len(quo) - 1, -1, -1):  # m is monic
+                c = quo[i] = p[i + deg]
+                if c:
+                    for j, mj in enumerate(m):
+                        p[i + j] -= c * mj
+            p = quo
+    return tuple(p)
+
+
+def _cyclotomic_split(binomial: dict[int, int]) -> list[dict[int, int]] | None:
+    """Irreducible factors of a packed binomial X^a -+ X^b with coefficients +-1.
+
+    With X^(b-a) = M^g, M = P/N primitive and P, N coprime monomials, the
+    factors are N^phi(d) * Phi_d(P/N): over d | g for X^a - X^b, over the
+    d | 2g with d not dividing g for X^a + X^b.  Each is returned primitive
+    with a positive leading coefficient; their product equals the binomial
+    up to a sign and a monomial.  None when a coefficient is not +-1.
+    """
+    (ka, ca), (kb, cb) = binomial.items()
+    if abs(ca) != 1 or abs(cb) != 1:
+        return None
+    diff = [b - a for a, b in zip(_unpack(ka), _unpack(kb))]
+    g = gcd(*diff)
+    m = [e // g for e in diff]
+    P = [max(e, 0) for e in m]
+    N = [max(-e, 0) for e in m]
+    if ca == -cb:
+        orders = [d for d in range(1, g + 1) if g % d == 0]
+    else:
+        orders = [d for d in range(1, 2 * g + 1) if (2 * g) % d == 0 and g % d]
+    out = []
+    for d in orders:
+        phi = _cyclotomic(d)
+        deg = len(phi) - 1
+        f = {_pack(*(i * x + (deg - i) * y for x, y in zip(P, N))): c
+             for i, c in enumerate(phi) if c}
+        out.append(SparsePoly(Fraction(1), f).prim)
+    return out
+
+
+def _cancel_den_factors(num: SparsePoly, den: SparsePoly, den_factors):
+    """Cancel den's known irreducible factors from num by trial division.
+
+    Returns (num, den, complete); complete is False when some binomial of
+    den_factors has non-unit coefficients, so that num/den may still share
+    a factor only a gcd can find.
+    """
+    irreducible: dict[tuple, list] = {}  # merged across binomials
+    rest = []
+    for p, need in den_factors:
+        if p.is_monomial():  # the binomial 1 - c of a constant c
+            continue
+        parts = _cyclotomic_split(p.prim)
+        if parts is None:
+            rest.append((p, need))
+            continue
+        for f in parts:
+            slot = irreducible.setdefault(tuple(sorted(f.items())), [f, 0])
+            slot[1] += need
+    quo = num.prim
+    left = SparsePoly.one().shift(den.min_exps())
+    for f, k in irreducible.values():
+        while k:
+            try:
+                quo = _dict_exact_div(quo, f, 0)
+            except ArithmeticError:
+                break
+            k -= 1
+        fp = SparsePoly(Fraction(1), f, _normalized=True)
+        for _ in range(k):
+            left = left * fp
+    for p, need in rest:
+        for _ in range(need):
+            left = left * p
+    return SparsePoly(num.content, quo), left, not rest
 
 
 def field_sqrt(x):
@@ -411,4 +523,6 @@ def sum_factored(terms) -> Scalar:
     for key, (p, need) in lcm_den.items():
         for _ in range(need):
             den = den * p
-    return Scalar(num, den)
+    out = _FactoredDenScalar(num, den)
+    out.den_factors = tuple((p, need) for p, need in lcm_den.values())
+    return out

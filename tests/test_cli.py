@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cdmac.cli import main
 
 
@@ -30,6 +32,24 @@ def test_routes_byte_equal(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("case", [("D", "3", "3", None), ("D", "2", "4", None),
+                                  ("C", "2", "3", "t^3"), ("C", "2", "3", "25/49")],
+                         ids=lambda case: " ".join(filter(None, case)))
+def test_routes_byte_equal_factored_vs_prs(capsys, case):
+    # the tableau route reduces through its denominator factors, the
+    # inversion route through the PRS gcd
+    family, n, r, T = case
+    args = ["compute", "--family", family, "--n", n, "--r", r]
+    if T is not None:
+        args += ["--T", T]
+    outs = []
+    for via in ("tableau", "lassalle"):
+        code, out, _ = run(capsys, *args, "--via", via)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_deterministic_bytes_across_runs(capsys):
@@ -76,6 +96,15 @@ def test_usage_errors_exit_2(capsys):
     code, _, _ = run(capsys, "compute", "--family", "D", "--n", "1", "--r", "1",
                      "--T", "t^2/q")
     assert code == 2  # family D has no T
+
+
+@pytest.mark.parametrize("T", ["q^x", "t^x", "t^", "1/0", "five"])
+def test_unparsable_T_exits_2(capsys, T):
+    code, _, err = run(capsys, "compute", "--family", "C", "--n", "1", "--r", "1",
+                       "--T", T)
+    assert code == 2
+    assert err.startswith("usage error: cannot parse T value")
+    assert "Traceback" not in err
 
 
 def test_pole_exit_3(capsys):

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
+from cdmac import macdonald, poly
+from cdmac.cli import main
 from cdmac.poly import Mon, SparsePoly
-from cdmac.scalar import FactoredScalar, Scalar, field_sqrt, sum_factored
+from cdmac.scalar import (FactoredScalar, Scalar, _binomial_parts, _cyclotomic_split,
+                          field_sqrt, sum_factored)
 
 T = Scalar.from_mon(Mon.t())
 Q = Scalar.from_mon(Mon.q())
@@ -138,3 +142,87 @@ def test_negative_poch_factor_pole():
     fs = FactoredScalar()
     with pytest.raises(PoleError):
         fs.times_poch(Mon.q(), -1)  # (q;q)_{-1} hits (1 - q/q) in a denominator
+
+
+# -- display reduction through the known denominator factors -----------------
+
+@pytest.mark.parametrize("direction", [(1, 0, 0), (0, 1, 0), (2, 1, 0), (-1, 1, 0),
+                                       (1, -2, 1), (-3, 0, 2)])
+@pytest.mark.parametrize("c", [1, -1])
+def test_cyclotomic_split_reproduces_binomial(direction, c):
+    # 1 - c*M^g for a primitive monomial M, as sum_factored stores it; the
+    # directions with mixed signs give binomials like u^2 - v^2 (1 - t/q)
+    for g in range(1, 13):
+        _, _, _, binomial = _binomial_parts(Mon(c, tuple(g * e for e in direction)))
+        parts = _cyclotomic_split(binomial.prim)
+        orders = [d for d in range(1, 2 * g + 1)
+                  if (g % d == 0 if c == 1 else (2 * g % d == 0 and g % d))]
+        assert len(parts) == len(orders)
+        assert len({tuple(sorted(f.items())) for f in parts}) == len(parts)
+        prod = SparsePoly.one()
+        for f in parts:
+            lead = max(f, key=poly._grlex)
+            assert f[lead] > 0 and gcd(*f.values()) == 1  # primitive
+            prod = prod * SparsePoly(F(1), f, _normalized=True)
+        assert prod.prim == binomial.prim  # both primitive with positive lead
+
+
+def test_cyclotomic_split_mixed_signs():
+    # 1 - t/q is u^2 - v^2 = (u - v)(u + v) after clearing the monomial
+    _, _, _, binomial = _binomial_parts(Mon(1, (-2, 2, 0)))
+    parts = {str(SparsePoly(F(1), f)) for f in _cyclotomic_split(binomial.prim)}
+    assert parts == {"q^{1/2} - t^{1/2}", "q^{1/2} + t^{1/2}"}
+
+
+def test_cyclotomic_split_declines_non_unit_coefficients():
+    _, _, _, binomial = _binomial_parts(Mon(F(5, 7), (2, 0, 0)))
+    assert _cyclotomic_split(binomial.prim) is None
+
+
+def _prs_oracle(c: Scalar) -> str:
+    # a plain Scalar carries no denominator factors, so canonical() runs the
+    # primitive-PRS gcd
+    return str(Scalar(c.num, c.den).canonical())
+
+
+_T_VALUES = {"t^2/q": macdonald.T_SPECIAL, "symbolic": Mon.T(), "t^3": Mon.t(3),
+             "5/7": F(5, 7), "25/49": F(25, 49)}
+_TABLEAU_GRID = [("D", None, n, r) for n in (1, 2, 3) for r in range(4)] + [
+    ("C", name, n, r) for name in _T_VALUES for n in (1, 2, 3) for r in range(4)
+    # the PRS oracle needs minutes on C symbolic (3, 3), for either test
+    if (name, n, r) != ("symbolic", 3, 3)]
+
+
+@pytest.mark.parametrize("family,T,n,r", _TABLEAU_GRID)
+def test_factored_canonical_matches_prs_oracle(family, T, n, r):
+    p = macdonald.tableau_poly(family, n, r, _T_VALUES.get(T))
+    for c in p.terms.values():
+        assert hasattr(c, "den_factors")
+        assert str(c.canonical()) == _prs_oracle(c)
+
+
+@pytest.mark.parametrize("family,T,n,r", [case for case in _TABLEAU_GRID
+                                           if case[1] != "5/7"])  # sqrt(5/7) not in Q
+def test_factored_canonical_matches_prs_oracle_principal(family, T, n, r):
+    c = macdonald.principal_specialize(family, n, r, _T_VALUES.get(T))
+    assert str(c.canonical()) == _prs_oracle(c)
+
+
+def test_tableau_compute_runs_without_prs_gcd(monkeypatch, capsys):
+    def refuse(a, b):
+        raise AssertionError("the PRS gcd ran")
+    monkeypatch.setattr(poly, "poly_gcd", refuse)
+    assert main(["compute", "--family", "D", "--n", "3", "--r", "4"]) == 0
+    assert capsys.readouterr().out.startswith("x1^4 + ")
+
+
+def test_rational_T_falls_back_to_prs_gcd(monkeypatch, capsys):
+    calls = []
+    real = poly.poly_gcd
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+    monkeypatch.setattr(poly, "poly_gcd", counting)
+    assert main(["compute", "--family", "C", "--n", "2", "--r", "2", "--T", "5/7"]) == 0
+    assert calls
