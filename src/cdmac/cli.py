@@ -42,13 +42,10 @@ def _parse_T(text: str):
 def _compute(args) -> int:
     family = args.family
     T = _parse_T(args.T) if args.T is not None else None
-    if family == "D" and T is not None:
-        raise UsageError("family D carries no T parameter")
+    macdonald._family_T(family, T)  # the family/T rule holds on every route
     if args.via == "tableau":
         p = macdonald.tableau_poly(family, args.n, args.r, T)
     elif args.via == "lassalle":
-        if family == "C" and T is None:
-            T = macdonald.T_SPECIAL
         p = macdonald.lassalle_invert(family, args.n, args.r, T)
     elif args.via == "walgebra":
         if T is not None and T != macdonald.T_SPECIAL:

@@ -66,21 +66,6 @@ def koornwinder_eigenvalue(lam, kp: KoornwinderParams) -> EigenvalueData:
     return EigenvalueData(d, s)
 
 
-def eigenvalue_bracket_form(lam, kp: KoornwinderParams):
-    """The same eigenvalue through <a b c d q^(-1) t^(2n-2j) q^(lambda_j)> <q^(lambda_j)>,
-    <x> = x^(1/2) - x^(-1/2).  Used as a cross-check of the two displays."""
-    n = len(lam)
-    sqq = field_sqrt(kp.q)
-    d = 0
-    for j in range(1, n + 1):
-        half1 = kp.alpha * kp.t ** (n - j) * sqq ** lam[j - 1]
-        half2 = sqq ** lam[j - 1]
-        d = d + (half1 - 1 / half1) * (half2 - 1 / half2)
-    if isinstance(d, int):
-        d = Scalar.zero() if isinstance(kp.q, Scalar) else Fraction(0)
-    return d
-
-
 def _e(n: int, i: int, v: int) -> tuple[int, ...]:
     return tuple(v if k == i else 0 for k in range(n))
 

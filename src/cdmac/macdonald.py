@@ -7,6 +7,12 @@ Three independent constructions live here:
   * the inversion route through the generating series G_r, and
   * principal specializations with their closed product forms.
 
+Every entry point takes (family, ..., T) and reads it through one rule,
+_family_T: family D takes no T (its value is 1), family C defaults to the
+distinguished value T = t^2/q (the tag T_SPECIAL), and any other T is a
+monomial in the generators or a rational.  The Euler-product oracle for G_r
+lives in cdmac.oracle.
+
 All symbolic output is a LaurentPoly over the Scalar field; coefficients are
 accumulated through FactoredScalar so that each weight's sum is produced over
 a least common denominator.
@@ -14,7 +20,6 @@ a least common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
@@ -24,18 +29,6 @@ from .scalar import FactoredScalar, Scalar, sum_factored
 from .tableaux import Alphabet, enumerate_tableaux
 
 T_SPECIAL = "t^2/q"  # tag for the distinguished type-C parameter value
-
-
-@dataclass(frozen=True)
-class OneRowLabel:
-    family: str
-    rank: int
-    row: int
-    bigT: object = None  # None (family D), T_SPECIAL, Mon, Fraction, or Scalar
-
-    def __post_init__(self):
-        if self.family == "D" and self.bigT is not None:
-            raise UsageError("family D carries no T parameter")
 
 
 def _as_mon(T) -> Mon:
@@ -54,6 +47,16 @@ def _as_mon(T) -> Mon:
     raise UsageError(f"cannot interpret T value {T!r}")
 
 
+def _family_T(family: str, T) -> Mon:
+    """The family/T rule of every entry point: D takes no T and has T = 1,
+    C defaults to T_SPECIAL; returns T as a monomial."""
+    if family == "D":
+        if T is not None:
+            raise UsageError("family D carries no T parameter")
+        return Mon(1)
+    return _as_mon(T_SPECIAL if T is None else T)
+
+
 def _mon_sqrt(m: Mon) -> Mon:
     from .scalar import field_sqrt
     if any(e % 2 for e in m.exp):
@@ -61,14 +64,25 @@ def _mon_sqrt(m: Mon) -> Mon:
     return Mon(field_sqrt(m.coef), tuple(e // 2 for e in m.exp))
 
 
-def _collect(n: int, parts) -> LaurentPoly:
-    """Sum FactoredScalar terms grouped by weight into a Laurent polynomial."""
+def _from_terms(n: int, terms) -> LaurentPoly:
+    """Sum (weight, FactoredScalar) terms into a Laurent polynomial, each
+    weight over its least common denominator."""
+    parts: dict[tuple, list] = {}
+    for w, fs in terms:
+        parts.setdefault(w, []).append(fs)
     out = {}
-    for w, terms in parts.items():
-        c = sum_factored(terms)
+    for w, fss in parts.items():
+        c = sum_factored(fss)
         if c:
             out[w] = c
     return LaurentPoly(n, out)
+
+
+def _letter_factors(fs: FactoredScalar, counts) -> FactoredScalar:
+    """Multiply by (t;q)_k / (q;q)_k for every letter count k."""
+    for k in counts:
+        fs.times_poch(Mon.t(), k).div_poch(Mon.q(), k)
+    return fs
 
 
 def _tq(a: int, b: int) -> Mon:
@@ -85,63 +99,8 @@ def g_series(n: int, r: int) -> LaurentPoly:
     if n < 1 or r < 0:
         raise UsageError("need n >= 1, r >= 0")
     alpha = Alphabet("C", n)  # no occupancy constraint in G_r
-    parts: dict[tuple, list] = {}
-    for tab in enumerate_tableaux(alpha, r):
-        fs = FactoredScalar()
-        for k in range(2 * n):
-            fs.times_poch(Mon.t(), tab.theta[k]).div_poch(Mon.q(), tab.theta[k])
-        parts.setdefault(tab.weight(), []).append(fs)
-    return _collect(n, parts)
-
-
-def g_series_from_product(n: int, r: int, q, t) -> list[LaurentPoly]:
-    """Independent oracle: G_0..G_r from the four Euler expansions of the
-    generating product, as truncated power series in u (sampled q, t)."""
-    def euler_num(y: LaurentPoly) -> list[LaurentPoly]:
-        # (z u; q)oo = sum_j (-1)^j q^(j(j-1)/2) / (q;q)_j (z u)^j, z = t*y
-        out = []
-        for j in range(r + 1):
-            c = Fraction(-1) ** j * q ** (j * (j - 1) // 2)
-            den = q ** 0
-            for i in range(1, j + 1):
-                den = den * (1 - q ** i)
-            zj = LaurentPoly.one(n)
-            for _ in range(j):
-                zj = zj * y.scale(t)
-            out.append(zj.scale(c / den))
-        return out
-
-    def euler_den(y: LaurentPoly) -> list[LaurentPoly]:
-        # 1/(z u; q)oo = sum_j (z u)^j / (q;q)_j, z = y
-        out = []
-        for j in range(r + 1):
-            den = q ** 0
-            for i in range(1, j + 1):
-                den = den * (1 - q ** i)
-            zj = LaurentPoly.one(n)
-            for _ in range(j):
-                zj = zj * y
-            out.append(zj.scale(1 / den))
-        return out
-
-    def series_mul(a, b):
-        out = [LaurentPoly.zero(n) for _ in range(r + 1)]
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j in range(r + 1 - i):
-                if not b[j].is_zero():
-                    out[i + j] = out[i + j] + ai * b[j]
-        return out
-
-    acc = [LaurentPoly.one(n)] + [LaurentPoly.zero(n) for _ in range(r)]
-    for i in range(n):
-        for sign in (1, -1):
-            y = LaurentPoly.monomial(n, tuple(sign if j == i else 0 for j in range(n)),
-                                     Fraction(1))
-            acc = series_mul(acc, euler_num(y))
-            acc = series_mul(acc, euler_den(y))
-    return acc
+    return _from_terms(n, ((tab.weight(), _letter_factors(FactoredScalar(), tab.theta))
+                           for tab in enumerate_tableaux(alpha, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +115,7 @@ def _terms_D(n: int, r: int):
     """(weight, coefficient) per type-D tableau."""
     for tab in enumerate_tableaux(Alphabet("D", n), r):
         th = tab.theta
-        fs = _prefactor(FactoredScalar(), r)
-        for k in range(2 * n):
-            fs.times_poch(Mon.t(), th[k]).div_poch(Mon.q(), th[k])
+        fs = _letter_factors(_prefactor(FactoredScalar(), r), th)
         for l in range(1, n):
             S = sum(th[l - 1:2 * n - l])
             Sp = sum(th[l:2 * n - l])
@@ -174,9 +131,7 @@ def _terms_C_special(n: int, r: int):
     """(weight, coefficient) per type-C tableau at T = t^2/q."""
     for tab in enumerate_tableaux(Alphabet("C", n), r):
         th = tab.theta
-        fs = _prefactor(FactoredScalar(), r)
-        for k in range(2 * n):
-            fs.times_poch(Mon.t(), th[k]).div_poch(Mon.q(), th[k])
+        fs = _letter_factors(_prefactor(FactoredScalar(), r), th)
         for l in range(1, n + 1):
             S = sum(th[l - 1:2 * n - l])
             Sp = sum(th[l:2 * n - l])
@@ -195,12 +150,7 @@ def _terms_C_general(n: int, r: int, Tm: Mon):
         thn, thnb = th[n - 1], th[n]
         theta = min(thn, thnb)
         d = abs(thn - thnb)
-        fs = _prefactor(FactoredScalar(), r)
-        for k in range(2 * n):
-            if k in (n - 1, n):
-                continue
-            fs.times_poch(Mon.t(), th[k]).div_poch(Mon.q(), th[k])
-        fs.times_poch(Mon.t(), d).div_poch(Mon.q(), d)
+        fs = _letter_factors(_prefactor(FactoredScalar(), r), th[:n - 1] + th[n + 1:] + (d,))
         for l in range(1, n):
             S = sum(th[l - 1:n - 1]) + d + sum(th[n + 1:2 * n - l])
             Sp = sum(th[l:n - 1]) + d + sum(th[n + 1:2 * n - l])
@@ -217,23 +167,22 @@ def _terms_C_general(n: int, r: int, Tm: Mon):
         yield tab.weight(), fs
 
 
-def _tableau_terms(family: str, n: int, r: int, T=None):
+def _tableau_terms(family: str, n: int, r: int, T=None, general: bool = False):
+    """(weight, coefficient) per tableau; C at T_SPECIAL (or no T) takes the
+    special sum unless the general sum is asked for."""
+    Tm = _family_T(family, T)
     if n < 1 or r < 0:
         raise UsageError("need n >= 1, r >= 0")
     if family == "D":
-        if T is not None:
-            raise UsageError("family D carries no T parameter")
         return _terms_D(n, r)
-    if T is None or T == T_SPECIAL:
+    if (T is None or T == T_SPECIAL) and not general:
         return _terms_C_special(n, r)
-    return _terms_C_general(n, r, _as_mon(T))
+    return _terms_C_general(n, r, Tm)
 
 
-def _from_terms(n: int, terms) -> LaurentPoly:
-    parts: dict[tuple, list] = {}
-    for w, fs in terms:
-        parts.setdefault(w, []).append(fs)
-    return _collect(n, parts)
+def tableau_poly(family: str, n: int, r: int, T=None) -> LaurentPoly:
+    """The one-row polynomial as a sum over one-row tableaux."""
+    return _from_terms(n, _tableau_terms(family, n, r, T))
 
 
 def tableau_poly_D(n: int, r: int) -> LaurentPoly:
@@ -253,19 +202,7 @@ def tableau_poly_C_general(n: int, r: int, T) -> LaurentPoly:
     the two middle occupancies; at T = t^2/q the value agrees with
     tableau_poly_C_special although the two sums differ term by term.
     """
-    if n < 1 or r < 0:
-        raise UsageError("need n >= 1, r >= 0")
-    return _from_terms(n, _terms_C_general(n, r, _as_mon(T)))
-
-
-def tableau_poly(family: str, n: int, r: int, T=None) -> LaurentPoly:
-    if family == "D":
-        if T is not None:
-            raise UsageError("family D carries no T parameter")
-        return tableau_poly_D(n, r)
-    if T is None or T == T_SPECIAL:
-        return tableau_poly_C_special(n, r)
-    return tableau_poly_C_general(n, r, T)
+    return _from_terms(n, _tableau_terms("C", n, r, T, general=True))
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +232,6 @@ def _invert_coeff(i: int, n: int, r: int, Tm: Mon) -> Scalar:
     fs.times_poch(_tq(n, r - 2 * i), 1)  # (1 - t^n q^(r-2i))
     fs.div_poch(_tq(n, r - i), 1)        # (1 - t^n q^(r-i))
     return fs.to_scalar()
-
-
-def _family_T(family: str, T) -> Mon:
-    if family == "D":
-        if T is not None:
-            raise UsageError("family D carries no T parameter")
-        return Mon(1)
-    if T is None:
-        raise UsageError("family C needs a T value (use T_SPECIAL for t^2/q)")
-    return _as_mon(T)
 
 
 def lassalle_invert(family: str, n: int, r: int, T=None) -> LaurentPoly:
@@ -339,13 +266,14 @@ def lassalle_expand(family: str, n: int, r: int, p_family, T=None) -> LaurentPol
 # principal specialization
 # ---------------------------------------------------------------------------
 
+def _principal_mons(family: str, n: int, T) -> list[Mon]:
+    s = _mon_sqrt(_family_T(family, T))
+    return [s * Mon.t(n - 1 - i) for i in range(n)]
+
+
 def principal_point(family: str, n: int, T=None) -> list[Scalar]:
     """The evaluation point (s t^(n-1), ..., s t, s), s = T^(1/2) (s = 1 for D)."""
-    if family == "D":
-        s = Mon(1)
-    else:
-        s = _mon_sqrt(_family_T("C", T if T is not None else T_SPECIAL))
-    return [Scalar.from_mon(s * Mon.t(n - 1 - i)) for i in range(n)]
+    return [Scalar.from_mon(m) for m in _principal_mons(family, n, T)]
 
 
 def principal_specialize(family: str, n: int, r: int, T=None) -> Scalar:
@@ -355,11 +283,7 @@ def principal_specialize(family: str, n: int, r: int, T=None) -> Scalar:
     term by term over a common factored denominator (the substituted values
     are monomials, so each tableau term stays a factored product).
     """
-    if family == "D":
-        s = Mon(1)
-    else:
-        s = _mon_sqrt(_family_T("C", T if T is not None else T_SPECIAL))
-    points = [s * Mon.t(n - 1 - i) for i in range(n)]
+    points = _principal_mons(family, n, T)
     terms = []
     for w, fs in _tableau_terms(family, n, r, T):
         for i, wi in enumerate(w):
@@ -376,12 +300,9 @@ def principal_closed_form(family: str, n: int, r: int, T=None) -> Scalar:
     form degenerates to (1;q)_r in the denominator there, use x^r + x^-r
     directly instead).
     """
-    if family == "D":
-        if n == 1:
-            raise UsageError("closed form degenerates at rank 1 of family D")
-        Tm = Mon(1)
-    else:
-        Tm = _family_T("C", T if T is not None else T_SPECIAL)
+    Tm = _family_T(family, T)
+    if family == "D" and n == 1:
+        raise UsageError("closed form degenerates at rank 1 of family D")
     s = _mon_sqrt(Tm)
     fs = FactoredScalar()
     fs.times_mon((s * Mon.t(n - 1)).inv() ** r)

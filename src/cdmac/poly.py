@@ -418,10 +418,6 @@ def _dict_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _dict_scale(a: dict[int, int], c: int) -> dict[int, int]:
-    return {k: v * c for k, v in a.items()} if c else {}
-
-
 def _dict_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out = dict(a)
     for k, c in b.items():

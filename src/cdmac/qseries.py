@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PoleError, UsageError
+from .tableaux import _compositions
 
 
 def qpoch(z, q, k: int):
@@ -329,15 +330,6 @@ def verify_identity(inst: TransformInstance):
 # ---------------------------------------------------------------------------
 # the two multivariate transformation identities
 # ---------------------------------------------------------------------------
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
 
 def _ratio_tt_qq(q, t, k: int, m: int):
     """(t;q)_k (t;q)_{k+m} / ((q;q)_k (q;q)_{k+m})."""

@@ -410,19 +410,8 @@ class FactoredScalar:
         self.mexp = (0, 0, 0)
         self.factors: dict[tuple, list] = {}
 
-    def clone(self) -> "FactoredScalar":
-        c = FactoredScalar()
-        c.coef = self.coef
-        c.mexp = self.mexp
-        c.factors = {k: [p, m] for k, (p, m) in self.factors.items()}
-        return c
-
     def is_zero(self) -> bool:
         return self.coef == 0
-
-    def times_frac(self, c) -> "FactoredScalar":
-        self.coef *= Fraction(c)
-        return self
 
     def times_mon(self, m: Mon) -> "FactoredScalar":
         self.coef *= m.coef
@@ -449,42 +438,29 @@ class FactoredScalar:
                 del self.factors[key]
         return self
 
-    def times_poch(self, z: Mon, k: int, base: Mon | None = None) -> "FactoredScalar":
-        """Multiply by the q-shifted factorial (z; base)_k, base defaulting to q."""
+    def times_poch(self, z: Mon, k: int) -> "FactoredScalar":
+        """Multiply by the q-shifted factorial (z; q)_k."""
         if self.coef == 0:
             return self
-        base = base or Mon.q()
+        q = Mon.q()
         if k >= 0:
             for j in range(k):
-                self._factor(base ** j * z, +1)
+                self._factor(q ** j * z, +1)
         else:
             for j in range(1, -k + 1):
-                self._factor(z / base ** j, -1)
+                self._factor(z / q ** j, -1)
         return self
 
-    def div_poch(self, z: Mon, k: int, base: Mon | None = None) -> "FactoredScalar":
+    def div_poch(self, z: Mon, k: int) -> "FactoredScalar":
         if self.coef == 0:
             return self
-        base = base or Mon.q()
+        q = Mon.q()
         if k >= 0:
             for j in range(k):
-                self._factor(base ** j * z, -1)
+                self._factor(q ** j * z, -1)
         else:
             for j in range(1, -k + 1):
-                self._factor(z / base ** j, +1)
-        return self
-
-    def times(self, other: "FactoredScalar") -> "FactoredScalar":
-        self.coef *= other.coef
-        self.mexp = tuple(a + b for a, b in zip(self.mexp, other.mexp))
-        for key, (p, m) in other.factors.items():
-            slot = self.factors.get(key)
-            if slot is None:
-                self.factors[key] = [p, m]
-            else:
-                slot[1] += m
-                if slot[1] == 0:
-                    del self.factors[key]
+                self._factor(z / q ** j, +1)
         return self
 
     def to_scalar(self) -> Scalar:

@@ -45,9 +45,6 @@ class OneRowTableau:
     def size(self) -> int:
         return sum(self.theta)
 
-    def count(self, letter_pos: int) -> int:
-        return self.theta[letter_pos]
-
     def weight(self) -> tuple[int, ...]:
         """Exponent vector: component i is theta_(i+1) - theta_(i+1)bar."""
         n = self.alphabet.rank

@@ -205,10 +205,6 @@ def _suite_transform(which: str, seed, n_max=3, k_max=3, m_max=2):
     return out
 
 
-def _poly_key(family, n, r, T=None):
-    return f"{family}[n={n},r={r}" + (f",T={T}" if T is not None else "") + "]"
-
-
 def _suite_lassalleD(seed, n_max=3, r_max=4):
     out = []
     for n in range(1, n_max + 1):
@@ -251,10 +247,11 @@ _EIGEN_SAMPLES = [
 
 
 def _eigen_variants(n_max, r_max):
+    """(family, n, r, T label, T) per certificate."""
     for n in range(1, n_max + 1):
         for r in range(r_max + 1):
-            yield ("D", n, r, None)
-            yield ("C", n, r, "t^2/q")
+            yield ("D", n, r, None, None)
+            yield ("C", n, r, macdonald.T_SPECIAL, macdonald.T_SPECIAL)
     for label, T in _general_T_values():
         if label == "5/7":
             # sqrt(T) is outside the coefficient field for a non-square
@@ -262,7 +259,7 @@ def _eigen_variants(n_max, r_max):
             continue
         for n in range(2, n_max + 1):
             for r in range(r_max + 1):
-                yield ("C", n, r, (label, T))
+                yield ("C", n, r, label, T)
 
 
 def eigen_check(family: str, n: int, r: int, T=None,
@@ -274,17 +271,8 @@ def eigen_check(family: str, n: int, r: int, T=None,
     symmetry are checked on the symbolic polynomial.
     """
     u, v, w = sample or _EIGEN_SAMPLES[0]
-    if family == "D":
-        p = macdonald.tableau_poly_D(n, r)
-        b_val = Fraction(1)
-    elif T == "t^2/q":
-        p = macdonald.tableau_poly_C_special(n, r)
-        b_val = v ** 4 / u ** 2
-    else:
-        label, Tval = T
-        p = macdonald.tableau_poly_C_general(n, r, Tval)
-        Tm = macdonald._as_mon(Tval)
-        b_val = Tm.coef * u ** Tm.exp[0] * v ** Tm.exp[1] * w ** Tm.exp[2]
+    p = macdonald.tableau_poly(family, n, r, T)
+    b_val = Scalar.from_mon(macdonald._family_T(family, T)).eval(u, v, w)
     if not triangularity_check(p, r):
         return False
     if not p.hyperoctahedral_check():
@@ -300,14 +288,13 @@ def eigen_check(family: str, n: int, r: int, T=None,
 def _suite_eigen(seed, n_max=3, r_max=4):
     out = []
     rng = random.Random((seed, "eigen").__repr__())
-    for family, n, r, T in _eigen_variants(n_max, r_max):
+    for family, n, r, label, T in _eigen_variants(n_max, r_max):
         sample = _EIGEN_SAMPLES[rng.randrange(len(_EIGEN_SAMPLES))]
         try:
             ok = eigen_check(family, n, r, T, sample)
             note = ""
         except PoleError:
             ok, note = False, "pole"
-        label = T[0] if isinstance(T, tuple) else T
         out.append(InstanceResult("eigen", {"family": family, "n": n, "r": r,
                                             "T": label, "sample": sample}, ok, seed, note))
     return out

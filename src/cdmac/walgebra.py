@@ -29,7 +29,7 @@ from itertools import product as iproduct
 
 from .errors import PoleError, UsageError
 from .laurent import LaurentPoly
-from .macdonald import tableau_poly_C_special, tableau_poly_D
+from .macdonald import tableau_poly
 from .poly import Mon
 from .scalar import Scalar
 from .tableaux import Alphabet, enumerate_tableaux
@@ -70,17 +70,12 @@ class GammaTable:
         pa, pb = self._pos(a), self._pos(b)
         if pa == pb:
             return 1
-        if pa < pb:
-            ratio = zb / za
-            if b == -a:
-                return gamma_base(ratio, self.q, self.t) * \
-                    gamma_base(self._conj_extra(a) * ratio, self.q, self.t)
-            return gamma_base(ratio, self.q, self.t)
-        ratio = za / zb
+        # the ratio runs from the earlier letter to the later one
+        first, ratio = (a, zb / za) if pa < pb else (b, za / zb)
+        g = gamma_base(ratio, self.q, self.t)
         if a == -b:
-            return gamma_base(ratio, self.q, self.t) * \
-                gamma_base(self._conj_extra(b) * ratio, self.q, self.t)
-        return gamma_base(ratio, self.q, self.t)
+            g = g * gamma_base(self._conj_extra(first) * ratio, self.q, self.t)
+        return g
 
 
 @dataclass(frozen=True)
@@ -106,21 +101,35 @@ def _weight(l: int, eps) -> tuple[int, ...]:
     return tuple(w)
 
 
-def correlation_F(spec: CorrelationSpec, budget: int = 50000) -> LaurentPoly:
-    """The full (2l)^r-term correlation sum, collected by x-exponent."""
-    l, r = spec.rank, len(spec.z)
+def _kernel_product(table: GammaTable, eps, z):
+    """prod_{i<j} gamma_{eps_i, eps_j}(z_i, z_j), pairs in row-major order.
+
+    No short cut on a zero factor: a later factor at a pole still raises.
+    """
+    coef = 1
+    r = len(eps)
+    for i in range(r):
+        for j in range(i + 1, r):
+            coef = coef * table.pair(eps[i], eps[j], z[i], z[j])
+    return coef
+
+
+def _letter_tuples(l: int, r: int, budget: int):
+    """All (2l)^r letter tuples, once the count is checked against the budget."""
     if (2 * l) ** r > budget:
         raise UsageError(f"(2l)^r = {(2 * l) ** r} exceeds the budget {budget}")
-    table = GammaTable(spec.family, l, spec.q, spec.t)
+    yield from iproduct(_letters(l), repeat=r)
+
+
+def _correlate(spec: CorrelationSpec, tuples) -> LaurentPoly:
+    """Sum the kernel products of the given letter tuples, collected by weight."""
+    table = GammaTable(spec.family, spec.rank, spec.q, spec.t)
     out: dict[tuple, object] = {}
-    for eps in iproduct(_letters(l), repeat=r):
-        coef = 1
-        for i in range(r):
-            for j in range(i + 1, r):
-                coef = coef * table.pair(eps[i], eps[j], spec.z[i], spec.z[j])
+    for eps in tuples:
+        coef = _kernel_product(table, eps, spec.z)
         if not coef:
             continue
-        w = _weight(l, eps)
+        w = _weight(spec.rank, eps)
         if w in out:
             s = out[w] + coef
             if s:
@@ -129,7 +138,12 @@ def correlation_F(spec: CorrelationSpec, budget: int = 50000) -> LaurentPoly:
                 del out[w]
         else:
             out[w] = coef
-    return LaurentPoly(l, out)
+    return LaurentPoly(spec.rank, out)
+
+
+def correlation_F(spec: CorrelationSpec, budget: int = 50000) -> LaurentPoly:
+    """The full (2l)^r-term correlation sum, collected by x-exponent."""
+    return _correlate(spec, _letter_tuples(spec.rank, len(spec.z), budget))
 
 
 def _principal_spec(family: str, l: int, r: int) -> CorrelationSpec:
@@ -156,52 +170,17 @@ def phi_principal(family: str, l: int, r: int, path: str = "tableau",
     path 'full' runs the whole (2l)^r enumeration (the oracle); 'tableau'
     enumerates only the weakly increasing tuples that survive.
     """
-    if path == "full":
-        return correlation_F(_principal_spec(family, l, r), budget)
-    if path != "tableau":
+    if path not in ("full", "tableau"):
         raise UsageError(f"unknown path {path!r}")
     spec = _principal_spec(family, l, r)
-    table = GammaTable(family, l, spec.q, spec.t)
-    out: dict[tuple, object] = {}
-    for tab in enumerate_tableaux(Alphabet(family, l), r):
-        eps = _tableau_tuple(tab)
-        coef = 1
-        for i in range(r):
-            for j in range(i + 1, r):
-                coef = coef * table.pair(eps[i], eps[j], spec.z[i], spec.z[j])
-        w = tab.weight()
-        if w in out:
-            s = out[w] + coef
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        elif coef:
-            out[w] = coef
-    return LaurentPoly(l, out)
-
-
-def surviving_tuples(family: str, l: int, r: int, budget: int = 50000) -> set:
-    """Support of the oracle enumeration: tuples whose kernel product is nonzero."""
-    spec = _principal_spec(family, l, r)
-    if (2 * l) ** r > budget:
-        raise UsageError("budget exceeded")
-    table = GammaTable(family, l, spec.q, spec.t)
-    out = set()
-    for eps in iproduct(_letters(l), repeat=r):
-        coef = 1
-        for i in range(r):
-            for j in range(i + 1, r):
-                coef = coef * table.pair(eps[i], eps[j], spec.z[i], spec.z[j])
-        if coef:
-            out.add(eps)
-    return out
+    if path == "full":
+        return correlation_F(spec, budget)
+    return _correlate(spec, (_tableau_tuple(tab)
+                             for tab in enumerate_tableaux(Alphabet(family, l), r)))
 
 
 def correlation_residual(family: str, l: int, r: int, path: str = "tableau",
                          budget: int = 50000) -> LaurentPoly:
     """phi minus the matching tableau polynomial; identically zero when the
     specialized correlation reproduces the one-row polynomial."""
-    phi = phi_principal(family, l, r, path=path, budget=budget)
-    ref = tableau_poly_D(l, r) if family == "D" else tableau_poly_C_special(l, r)
-    return phi - ref
+    return phi_principal(family, l, r, path=path, budget=budget) - tableau_poly(family, l, r)

@@ -5,10 +5,11 @@ import pytest
 
 from cdmac.errors import NonLaurentResultError, UsageError
 from cdmac.koornwinder import (KoornwinderParams, bc_specialize,
-                               eigenvalue_bracket_form, koornwinder_apply,
-                               koornwinder_eigenvalue, triangularity_check)
+                               koornwinder_apply, koornwinder_eigenvalue,
+                               triangularity_check)
 from cdmac.laurent import LaurentPoly
 from cdmac.macdonald import tableau_poly_C_special, tableau_poly_D
+from cdmac.oracle import eigenvalue_bracket_form
 from cdmac.poly import Mon
 from cdmac.scalar import Scalar
 

@@ -4,12 +4,12 @@ import pytest
 
 from cdmac.errors import UsageError
 from cdmac.laurent import LaurentPoly
-from cdmac.macdonald import (T_SPECIAL, OneRowLabel, g_series,
-                             g_series_from_product, lassalle_expand,
+from cdmac.macdonald import (T_SPECIAL, g_series, lassalle_expand,
                              lassalle_invert, principal_closed_form,
                              principal_point, principal_specialize,
                              tableau_poly, tableau_poly_C_general,
                              tableau_poly_C_special, tableau_poly_D)
+from cdmac.oracle import g_series_from_product
 from cdmac.poly import Mon
 from cdmac.qseries import qpoch
 from cdmac.scalar import FactoredScalar, Scalar
@@ -178,10 +178,7 @@ def test_expand_missing_row():
 def test_family_guards():
     with pytest.raises(UsageError):
         lassalle_invert("D", 2, 1, Mon.T())
-    with pytest.raises(UsageError):
-        lassalle_invert("C", 2, 1)
-    with pytest.raises(UsageError):
-        OneRowLabel("D", 2, 1, Mon.T())
+    assert lassalle_invert("C", 2, 1) == lassalle_invert("C", 2, 1, T_SPECIAL)
     with pytest.raises(UsageError):
         tableau_poly("D", 2, 1, Mon.T())
 

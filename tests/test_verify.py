@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from cdmac import verify
+from cdmac.poly import Mon
 
 
 def test_suite_names():
@@ -37,6 +40,8 @@ def test_corrupted_instances_fail():
 def test_eigen_check_single():
     assert verify.eigen_check("D", 2, 1)
     assert verify.eigen_check("C", 1, 2, "t^2/q")
+    assert verify.eigen_check("C", 2, 1, Mon.T())
+    assert verify.eigen_check("C", 2, 1, Fraction(25, 49))
 
 
 def test_suite_lassalle_small():

@@ -6,10 +6,10 @@ from cdmac.errors import PoleError, UsageError
 from cdmac.laurent import LaurentPoly
 from cdmac.macdonald import tableau_poly_D
 from cdmac.scalar import Scalar
+from cdmac.oracle import surviving_tuples
 from cdmac.tableaux import Alphabet, enumerate_tableaux
 from cdmac.walgebra import (CorrelationSpec, GammaTable, correlation_F,
-                            correlation_residual, gamma_base, phi_principal,
-                            surviving_tuples)
+                            correlation_residual, gamma_base, phi_principal)
 
 Q0, T0 = F(2, 7), F(3, 5)
 
