@@ -167,15 +167,15 @@ def _terms_C_general(n: int, r: int, Tm: Mon):
         yield tab.weight(), fs
 
 
-def _tableau_terms(family: str, n: int, r: int, T=None, general: bool = False):
+def _tableau_terms(family: str, n: int, r: int, T=None):
     """(weight, coefficient) per tableau; C at T_SPECIAL (or no T) takes the
-    special sum unless the general sum is asked for."""
+    special sum."""
     Tm = _family_T(family, T)
     if n < 1 or r < 0:
         raise UsageError("need n >= 1, r >= 0")
     if family == "D":
         return _terms_D(n, r)
-    if (T is None or T == T_SPECIAL) and not general:
+    if T is None or T == T_SPECIAL:
         return _terms_C_special(n, r)
     return _terms_C_general(n, r, Tm)
 
@@ -202,7 +202,10 @@ def tableau_poly_C_general(n: int, r: int, T) -> LaurentPoly:
     the two middle occupancies; at T = t^2/q the value agrees with
     tableau_poly_C_special although the two sums differ term by term.
     """
-    return _from_terms(n, _tableau_terms("C", n, r, T, general=True))
+    Tm = _family_T("C", T)
+    if n < 1 or r < 0:
+        raise UsageError("need n >= 1, r >= 0")
+    return _from_terms(n, _terms_C_general(n, r, Tm))
 
 
 # ---------------------------------------------------------------------------

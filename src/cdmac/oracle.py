@@ -29,16 +29,31 @@ from .walgebra import GammaTable, _kernel_product, _letter_tuples, _principal_sp
 def g_series_from_product(n: int, r: int, q, t) -> list[LaurentPoly]:
     """Independent oracle: G_0..G_r from the four Euler expansions of the
     generating product, as truncated power series in u (sampled q, t)."""
-    def euler(y: LaurentPoly, numerator: bool) -> list[LaurentPoly]:
-        # (t y u; q)oo = sum_j (-1)^j q^(j(j-1)/2) (t y u)^j / (q;q)_j
-        # 1/(y u; q)oo = sum_j (y u)^j / (q;q)_j
-        z = y.scale(t) if numerator else y
-        out, zj, qq = [], LaurentPoly.one(n), q ** 0
+    def euler_num(y: LaurentPoly) -> list[LaurentPoly]:
+        # (z u; q)oo = sum_j (-1)^j q^(j(j-1)/2) / (q;q)_j (z u)^j, z = t*y
+        out = []
         for j in range(r + 1):
-            c = Fraction(-1) ** j * q ** (j * (j - 1) // 2) if numerator else 1
-            out.append(zj.scale(c / qq))
-            zj = zj * z
-            qq = qq * (1 - q ** (j + 1))
+            c = Fraction(-1) ** j * q ** (j * (j - 1) // 2)
+            den = q ** 0
+            for i in range(1, j + 1):
+                den = den * (1 - q ** i)
+            zj = LaurentPoly.one(n)
+            for _ in range(j):
+                zj = zj * y.scale(t)
+            out.append(zj.scale(c / den))
+        return out
+
+    def euler_den(y: LaurentPoly) -> list[LaurentPoly]:
+        # 1/(z u; q)oo = sum_j (z u)^j / (q;q)_j, z = y
+        out = []
+        for j in range(r + 1):
+            den = q ** 0
+            for i in range(1, j + 1):
+                den = den * (1 - q ** i)
+            zj = LaurentPoly.one(n)
+            for _ in range(j):
+                zj = zj * y
+            out.append(zj.scale(1 / den))
         return out
 
     def series_mul(a, b):
@@ -56,8 +71,8 @@ def g_series_from_product(n: int, r: int, q, t) -> list[LaurentPoly]:
         for sign in (1, -1):
             y = LaurentPoly.monomial(n, tuple(sign if j == i else 0 for j in range(n)),
                                      Fraction(1))
-            acc = series_mul(acc, euler(y, numerator=True))
-            acc = series_mul(acc, euler(y, numerator=False))
+            acc = series_mul(acc, euler_num(y))
+            acc = series_mul(acc, euler_den(y))
     return acc
 
 

@@ -316,12 +316,10 @@ def _suite_principal(seed, n_max=3, r_max=4):
             out.append(InstanceResult("principal_D", {"n": n, "r": r}, ok, seed))
     for n in range(2, n_max + 1):
         for r in range(r_max + 1):
-            ok = macdonald.principal_specialize("C", n, r, macdonald.T_SPECIAL) == \
-                macdonald.principal_closed_form("C", n, r, macdonald.T_SPECIAL)
-            out.append(InstanceResult("principal_C_special", {"n": n, "r": r}, ok, seed))
-            ok = macdonald.principal_specialize("C", n, r, Mon.T()) == \
-                macdonald.principal_closed_form("C", n, r, Mon.T())
-            out.append(InstanceResult("principal_C_symbolic", {"n": n, "r": r}, ok, seed))
+            for label, T in (("special", macdonald.T_SPECIAL), ("symbolic", Mon.T())):
+                ok = macdonald.principal_specialize("C", n, r, T) == \
+                    macdonald.principal_closed_form("C", n, r, T)
+                out.append(InstanceResult(f"principal_C_{label}", {"n": n, "r": r}, ok, seed))
     return out
 
 

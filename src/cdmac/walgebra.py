@@ -127,18 +127,10 @@ def _correlate(spec: CorrelationSpec, tuples) -> LaurentPoly:
     out: dict[tuple, object] = {}
     for eps in tuples:
         coef = _kernel_product(table, eps, spec.z)
-        if not coef:
-            continue
-        w = _weight(spec.rank, eps)
-        if w in out:
-            s = out[w] + coef
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        else:
-            out[w] = coef
-    return LaurentPoly(spec.rank, out)
+        if coef:
+            w = _weight(spec.rank, eps)
+            out[w] = out[w] + coef if w in out else coef
+    return LaurentPoly(spec.rank, out)  # drops the weights that cancel to zero
 
 
 def correlation_F(spec: CorrelationSpec, budget: int = 50000) -> LaurentPoly:
