@@ -15,7 +15,7 @@ from . import macdonald, verify, walgebra
 from .errors import NonLaurentResultError, PoleError, UsageError
 from .laurent import LaurentPoly
 from .poly import Mon
-from .tableaux import Alphabet, enumerate_tableaux
+from .tableaux import Alphabet, count_closed_form, enumerate_tableaux
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -43,6 +43,9 @@ def _compute(args) -> int:
     family = args.family
     T = _parse_T(args.T) if args.T is not None else None
     macdonald._family_T(family, T)  # the family/T rule holds on every route
+    count = count_closed_form(family, args.n, args.r)
+    if count > args.budget:  # checked before any route starts work
+        raise UsageError(f"{count} tableaux exceed the budget {args.budget}")
     if args.via == "tableau":
         p = macdonald.tableau_poly(family, args.n, args.r, T)
     elif args.via == "lassalle":
@@ -50,7 +53,7 @@ def _compute(args) -> int:
     elif args.via == "walgebra":
         if T is not None and T != macdonald.T_SPECIAL:
             raise UsageError("the correlation route only produces family C at T = t^2/q")
-        p = walgebra.phi_principal(family, args.n, args.r, budget=args.budget)
+        p = walgebra.phi_principal(family, args.n, args.r)
     else:
         raise UsageError(f"unknown route {args.via!r}")
     # reduce for display so equal values print identically on every route

@@ -54,6 +54,8 @@ def _family_T(family: str, T) -> Mon:
         if T is not None:
             raise UsageError("family D carries no T parameter")
         return Mon(1)
+    if family != "C":
+        raise UsageError(f"unknown family {family!r}")
     return _as_mon(T_SPECIAL if T is None else T)
 
 
@@ -93,14 +95,19 @@ def _tq(a: int, b: int) -> Mon:
 # generating series
 # ---------------------------------------------------------------------------
 
+def _g_terms(n: int, r: int):
+    """(weight, coefficient) per weak composition of r: the terms of G_r."""
+    alpha = Alphabet("C", n)  # no occupancy constraint in G_r
+    for tab in enumerate_tableaux(alpha, r):
+        yield tab.weight(), _letter_factors(FactoredScalar(), tab.theta)
+
+
 def g_series(n: int, r: int) -> LaurentPoly:
     """The coefficient of u^r in prod_i ((t u x_i;q)oo (t u/x_i;q)oo) /
     ((u x_i;q)oo (u/x_i;q)oo): a sum over all weak compositions of r."""
     if n < 1 or r < 0:
         raise UsageError("need n >= 1, r >= 0")
-    alpha = Alphabet("C", n)  # no occupancy constraint in G_r
-    return _from_terms(n, ((tab.weight(), _letter_factors(FactoredScalar(), tab.theta))
-                           for tab in enumerate_tableaux(alpha, r)))
+    return _from_terms(n, _g_terms(n, r))
 
 
 # ---------------------------------------------------------------------------
@@ -224,29 +231,29 @@ def _expand_coeff(i: int, n: int, r: int, Tm: Mon) -> Scalar:
     return fs.to_scalar()
 
 
-def _invert_coeff(i: int, n: int, r: int, Tm: Mon) -> Scalar:
-    """Coefficient of G_(r-2i) in the inverse expansion (without prefactor)."""
-    fs = FactoredScalar()
-    fs.times_mon(Mon.t() ** i)
-    fs.times_poch(Tm / Mon.t(), i)
-    fs.times_poch(_tq(n, r - i), i)
-    fs.div_poch(Mon.q(), i)
-    fs.div_poch(Tm * _tq(n - 1, r - i), i)
-    fs.times_poch(_tq(n, r - 2 * i), 1)  # (1 - t^n q^(r-2i))
-    fs.div_poch(_tq(n, r - i), 1)        # (1 - t^n q^(r-i))
-    return fs.to_scalar()
+def _invert_terms(n: int, r: int, Tm: Mon):
+    """(weight, coefficient) of pref * c_i * G_(r-2i) per composition and i,
+    c_i the coefficient of G_(r-2i) in the inverse expansion."""
+    for i in range(r // 2 + 1):
+        for w, fs in _g_terms(n, r - 2 * i):
+            _prefactor(fs, r)
+            fs.times_mon(Mon.t() ** i)
+            fs.times_poch(Tm / Mon.t(), i)
+            fs.times_poch(_tq(n, r - i), i)
+            fs.div_poch(Mon.q(), i)
+            fs.div_poch(Tm * _tq(n - 1, r - i), i)
+            fs.times_poch(_tq(n, r - 2 * i), 1)  # (1 - t^n q^(r-2i))
+            fs.div_poch(_tq(n, r - i), 1)        # (1 - t^n q^(r-i))
+            yield w, fs
 
 
 def lassalle_invert(family: str, n: int, r: int, T=None) -> LaurentPoly:
     """P_(r) built from the generating-series coefficients, independently of
     the tableau sums."""
     Tm = _family_T(family, T)
-    pref = _prefactor(FactoredScalar(), r).to_scalar()
-    acc = LaurentPoly.zero(n)
-    for i in range(r // 2 + 1):
-        c = pref * _invert_coeff(i, n, r, Tm)
-        acc = acc + g_series(n, r - 2 * i).scale(c)
-    return acc
+    if n < 1 or r < 0:
+        raise UsageError("need n >= 1, r >= 0")
+    return _from_terms(n, _invert_terms(n, r, Tm))
 
 
 def lassalle_expand(family: str, n: int, r: int, p_family, T=None) -> LaurentPoly:

@@ -377,12 +377,13 @@ MON_ONE = Mon(1)
 # Scalar arithmetic never reduces by polynomial gcd (equality is decided by
 # cross-multiplication).  Serialization, however, wants one canonical
 # representative per value so that mathematically equal results print
-# identically whichever route produced them.  Tableau-route coefficients
-# reach that boundary with their denominators already split into irreducible
-# factors and are reduced by trial division (scalar._cancel_den_factors).
-# The primitive-PRS gcd over Z[u, v, w] below serves the rest: coefficients
-# of the inversion and correlation routes, and denominators with a binomial
-# whose coefficients are not +-1 (a rational T).
+# identically whichever route produced them.  The tableau, inversion and
+# principal correlation routes all sum over a factored least common
+# denominator, so their coefficients reach that boundary with denominators
+# already split into irreducible factors and are reduced by trial division
+# (scalar._cancel_den_factors).  The primitive-PRS gcd over Z[u, v, w] below
+# serves the rest: denominators with a binomial whose coefficients are not
+# +-1 (a rational T), and values of plain Scalar arithmetic.
 # ---------------------------------------------------------------------------
 
 def _split_by_var(terms: dict[int, int], var: int):

@@ -6,17 +6,19 @@ content, and fixes the sign so the denominator's leading coefficient (in the
 graded-lex order) is positive.  Arithmetic never computes a multivariate gcd:
 equality is decided by cross-multiplication.
 
-FactoredScalar is the workhorse for building the big tableau sums: it keeps a
-product of binomial factors (1 - c*u^a v^b w^c) unexpanded, so that sums of
-many q-shifted-factorial ratios can share a true least-common denominator
-instead of the naive product of denominators.  sum_factored hands that
-denominator's binomial factors on with its result, and Scalar.canonical (the
-serialization boundary) cancels through them: every binomial with unit
-coefficients splits into irreducible cyclotomic factors, which are removed
-from the numerator by trial division.  The primitive-PRS gcd of poly.py runs
-only for the rest: values built by plain Scalar arithmetic (the inversion and
-correlation routes) and denominators with a binomial whose coefficients are
-not +-1 (a rational T such as 5/7).
+FactoredScalar is the workhorse for building the big sums of all three
+routes (tableau terms, inversion terms and principally specialized
+correlation kernels): it keeps a product of binomial factors
+(1 - c*u^a v^b w^c) unexpanded, so that sums of many such products can share
+a true least-common denominator instead of the naive product of
+denominators.  sum_factored hands that denominator's binomial factors on
+with its result, and Scalar.canonical (the serialization boundary) cancels
+through them: every binomial with unit coefficients splits into irreducible
+cyclotomic factors, which are removed from the numerator by trial division.
+The primitive-PRS gcd of poly.py runs only for the rest: denominators with a
+binomial whose coefficients are not +-1 (a rational T such as 5/7) and
+values built by plain Scalar arithmetic (the full correlation path and the
+test oracles).
 """
 
 from __future__ import annotations
@@ -209,10 +211,11 @@ class Scalar:
         """The gcd-reduced representative, for serialization boundaries only.
 
         Arithmetic never calls this; values compare equal to their canonical
-        form by cross-multiplication.  A sum_factored result is reduced
-        through its known denominator factors; the primitive-PRS gcd runs on
-        what they leave undecided and on every other value.  The reduced
-        representative is unique, so both ways print the same bytes.
+        form by cross-multiplication.  A sum_factored result (the output of
+        every route) is reduced through its known denominator factors; the
+        primitive-PRS gcd runs on what they leave undecided (a rational T)
+        and on values of plain Scalar arithmetic.  The reduced representative
+        is unique, so both ways print the same bytes.
         """
         from .poly import poly_gcd
         if self.is_zero() or self.den == _ONE_P:

@@ -20,18 +20,26 @@ the extra factor for i <= l paired with its bar is
 
 and the reversed order uses the same monomial against z/w (this, rather than
 its reciprocal, is what makes the correlation z-symmetric).
+
+At the principal point every gamma argument is a monomial, so each surviving
+tuple's kernel product is a ratio of binomials (1 - monomial), exactly like a
+tableau term: the 'tableau' path of phi_principal builds it as a
+FactoredScalar and sums each weight over a least common denominator.  The
+'full' path and correlation_F multiply gamma_base values in plain Scalar (or
+rational) arithmetic; that path is the arithmetic oracle for the factored one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
+from math import prod
 
 from .errors import PoleError, UsageError
 from .laurent import LaurentPoly
-from .macdonald import tableau_poly
+from .macdonald import _from_terms, tableau_poly
 from .poly import Mon
-from .scalar import Scalar
+from .scalar import FactoredScalar, Scalar
 from .tableaux import Alphabet, enumerate_tableaux
 
 
@@ -45,16 +53,31 @@ def gamma_base(z, q, t):
     return (1 - t2 * z) * (1 - z / q2) / den
 
 
+def _gamma_factored(fs: FactoredScalar, z: Mon, q: Mon, t: Mon) -> FactoredScalar:
+    """Multiply fs by gamma(z) for monomial z, q, t; the denominator first, so
+    that a pole raises as in gamma_base."""
+    t2 = t * t
+    q2 = q * q
+    return (fs.div_poch(z, 1).div_poch(z * t2 / q2, 1)
+            .times_poch(t2 * z, 1).times_poch(z / q2, 1))
+
+
 @dataclass(frozen=True)
 class GammaTable:
     """Pair kernel for one family at fixed base parameters q, t.
 
     Letters are signed integers: +k is the k-th unbarred letter, -k its bar.
+    q, t and the z values are field elements for pair, or monomials (Mon)
+    when only the gamma arguments are wanted, as on the factored path.
     """
     family: str
     rank: int
     q: object
     t: object
+
+    def __post_init__(self):
+        if self.family not in ("C", "D"):
+            raise UsageError(f"unknown family {self.family!r}")
 
     def _pos(self, a: int) -> int:
         return a - 1 if a > 0 else 2 * self.rank + a
@@ -65,17 +88,22 @@ class GammaTable:
             return self.q ** (2 * i - 2 * l) * self.t ** (-2 * i + 2 * l + 2)
         return self.q ** (2 * i - 2 * l + 2) * self.t ** (-2 * i + 2 * l - 2)
 
-    def pair(self, a: int, b: int, za, zb):
-        """gamma_{a,b}(za, zb) for list-order positions of a and b."""
+    def gamma_args(self, a: int, b: int, za, zb) -> list:
+        """The arguments z of the gamma(z) factors of gamma_{a,b}(za, zb), for
+        list-order positions of a and b: none for equal letters, a second one
+        for a conjugate pair."""
         pa, pb = self._pos(a), self._pos(b)
         if pa == pb:
-            return 1
+            return []
         # the ratio runs from the earlier letter to the later one
         first, ratio = (a, zb / za) if pa < pb else (b, za / zb)
-        g = gamma_base(ratio, self.q, self.t)
         if a == -b:
-            g = g * gamma_base(self._conj_extra(first) * ratio, self.q, self.t)
-        return g
+            return [ratio, self._conj_extra(first) * ratio]
+        return [ratio]
+
+    def pair(self, a: int, b: int, za, zb):
+        """gamma_{a,b}(za, zb) for list-order positions of a and b."""
+        return prod(gamma_base(z, self.q, self.t) for z in self.gamma_args(a, b, za, zb))
 
 
 @dataclass(frozen=True)
@@ -106,12 +134,17 @@ def _kernel_product(table: GammaTable, eps, z):
 
     No short cut on a zero factor: a later factor at a pole still raises.
     """
-    coef = 1
-    r = len(eps)
-    for i in range(r):
-        for j in range(i + 1, r):
-            coef = coef * table.pair(eps[i], eps[j], z[i], z[j])
-    return coef
+    return prod(table.pair(eps[i], eps[j], z[i], z[j])
+                for i, j in combinations(range(len(eps)), 2))
+
+
+def _kernel_factored(table: GammaTable, eps, z) -> FactoredScalar:
+    """_kernel_product for monomial z, q and t, as one product of binomials."""
+    fs = FactoredScalar()
+    for i, j in combinations(range(len(eps)), 2):
+        for x in table.gamma_args(eps[i], eps[j], z[i], z[j]):
+            _gamma_factored(fs, x, table.q, table.t)
+    return fs
 
 
 def _letter_tuples(l: int, r: int, budget: int):
@@ -121,11 +154,11 @@ def _letter_tuples(l: int, r: int, budget: int):
     yield from iproduct(_letters(l), repeat=r)
 
 
-def _correlate(spec: CorrelationSpec, tuples) -> LaurentPoly:
-    """Sum the kernel products of the given letter tuples, collected by weight."""
+def correlation_F(spec: CorrelationSpec, budget: int = 50000) -> LaurentPoly:
+    """The full (2l)^r-term correlation sum, collected by x-exponent."""
     table = GammaTable(spec.family, spec.rank, spec.q, spec.t)
     out: dict[tuple, object] = {}
-    for eps in tuples:
+    for eps in _letter_tuples(spec.rank, len(spec.z), budget):
         coef = _kernel_product(table, eps, spec.z)
         if coef:
             w = _weight(spec.rank, eps)
@@ -133,17 +166,16 @@ def _correlate(spec: CorrelationSpec, tuples) -> LaurentPoly:
     return LaurentPoly(spec.rank, out)  # drops the weights that cancel to zero
 
 
-def correlation_F(spec: CorrelationSpec, budget: int = 50000) -> LaurentPoly:
-    """The full (2l)^r-term correlation sum, collected by x-exponent."""
-    return _correlate(spec, _letter_tuples(spec.rank, len(spec.z), budget))
+def _principal_args(r: int):
+    """z_i = q^(r-i) and the base parameters (q^(1/2), q^(1/2) t^(-1/2))."""
+    zs = tuple(Mon.q(r - i) for i in range(1, r + 1))
+    return zs, Mon.half(qh=1), Mon.half(qh=1, th=-1)
 
 
 def _principal_spec(family: str, l: int, r: int) -> CorrelationSpec:
-    # z_i = q^(r-i), base parameters (q^(1/2), q^(1/2) t^(-1/2))
-    zs = tuple(Scalar.from_mon(Mon.q(r - i)) for i in range(1, r + 1))
-    qh = Scalar.from_mon(Mon.half(qh=1))
-    th = Scalar.from_mon(Mon.half(qh=1, th=-1))
-    return CorrelationSpec(family, l, zs, qh, th)
+    zs, qh, th = _principal_args(r)
+    return CorrelationSpec(family, l, tuple(map(Scalar.from_mon, zs)),
+                           Scalar.from_mon(qh), Scalar.from_mon(th))
 
 
 def _tableau_tuple(tab) -> tuple[int, ...]:
@@ -159,16 +191,18 @@ def phi_principal(family: str, l: int, r: int, path: str = "tableau",
                   budget: int = 50000) -> LaurentPoly:
     """The principally specialized correlation sum.
 
-    path 'full' runs the whole (2l)^r enumeration (the oracle); 'tableau'
-    enumerates only the weakly increasing tuples that survive.
+    path 'full' runs the whole (2l)^r enumeration in plain Scalar arithmetic
+    (the oracle); 'tableau' enumerates only the weakly increasing tuples that
+    survive and sums their factored kernel products per weight.
     """
     if path not in ("full", "tableau"):
         raise UsageError(f"unknown path {path!r}")
-    spec = _principal_spec(family, l, r)
     if path == "full":
-        return correlation_F(spec, budget)
-    return _correlate(spec, (_tableau_tuple(tab)
-                             for tab in enumerate_tableaux(Alphabet(family, l), r)))
+        return correlation_F(_principal_spec(family, l, r), budget)
+    zs, qh, th = _principal_args(r)
+    table = GammaTable(family, l, qh, th)
+    return _from_terms(l, ((tab.weight(), _kernel_factored(table, _tableau_tuple(tab), zs))
+                           for tab in enumerate_tableaux(Alphabet(family, l), r)))
 
 
 def correlation_residual(family: str, l: int, r: int, path: str = "tableau",

@@ -38,8 +38,9 @@ def test_routes_byte_equal(capsys):
                                   ("C", "2", "3", "t^3"), ("C", "2", "3", "25/49")],
                          ids=lambda case: " ".join(filter(None, case)))
 def test_routes_byte_equal_factored_vs_prs(capsys, case):
-    # the tableau route reduces through its denominator factors, the
-    # inversion route through the PRS gcd
+    # both routes reduce for display through the factors of their own least
+    # common denominators, which differ (at T = 25/49 the PRS gcd finishes
+    # both); equal bytes hold because the reduced form is unique
     family, n, r, T = case
     args = ["compute", "--family", family, "--n", n, "--r", r]
     if T is not None:
@@ -50,6 +51,18 @@ def test_routes_byte_equal_factored_vs_prs(capsys, case):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("via", ["tableau", "lassalle", "walgebra"])
+def test_budget_checked_on_every_route(capsys, via):
+    # D (2, 2) sums 9 tableaux on every route
+    code, out, err = run(capsys, "compute", "--family", "D", "--n", "2", "--r", "2",
+                         "--via", via, "--budget", "8")
+    assert code == 2 and out == ""
+    assert err == "usage error: 9 tableaux exceed the budget 8\n"
+    code, _, _ = run(capsys, "compute", "--family", "D", "--n", "2", "--r", "2",
+                     "--via", via, "--budget", "9")
+    assert code == 0
 
 
 def test_deterministic_bytes_across_runs(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cdmac import walgebra
 from cdmac.errors import UsageError
 from cdmac.laurent import LaurentPoly
 from cdmac.macdonald import (T_SPECIAL, g_series, lassalle_expand,
@@ -181,6 +182,15 @@ def test_family_guards():
     assert lassalle_invert("C", 2, 1) == lassalle_invert("C", 2, 1, T_SPECIAL)
     with pytest.raises(UsageError):
         tableau_poly("D", 2, 1, Mon.T())
+    # a family other than C and D is refused on every route
+    for build in (lambda: tableau_poly("X", 2, 1), lambda: lassalle_invert("X", 1, 2),
+                  lambda: principal_specialize("X", 2, 1),
+                  lambda: walgebra.phi_principal("X", 1, 2, path="full"),
+                  lambda: walgebra.phi_principal("X", 1, 2, path="tableau"),
+                  lambda: walgebra.correlation_F(
+                      walgebra.CorrelationSpec("X", 1, (F(3, 4),), F(2, 7), F(3, 5)))):
+        with pytest.raises(UsageError, match="unknown family"):
+            build()
 
 
 # -- principal specialization -------------------------------------------------------

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cdmac import macdonald, poly
+from cdmac import macdonald, poly, walgebra
 from cdmac.cli import main
 from cdmac.poly import Mon, SparsePoly
 from cdmac.scalar import (FactoredScalar, Scalar, _binomial_parts, _cyclotomic_split,
@@ -193,9 +193,18 @@ _TABLEAU_GRID = [("D", None, n, r) for n in (1, 2, 3) for r in range(4)] + [
     if (name, n, r) != ("symbolic", 3, 3)]
 
 
-@pytest.mark.parametrize("family,T,n,r", _TABLEAU_GRID)
-def test_factored_canonical_matches_prs_oracle(family, T, n, r):
-    p = macdonald.tableau_poly(family, n, r, _T_VALUES.get(T))
+_ROUTES = {"tableau": macdonald.tableau_poly, "lassalle": macdonald.lassalle_invert,
+           "walgebra": lambda family, n, r, T: walgebra.phi_principal(family, n, r)}
+_ROUTE_GRID = [pytest.param("tableau", *case, id="-".join(map(str, case)))
+               for case in _TABLEAU_GRID] + [
+    pytest.param(route, family, T, n, r, id=f"{route}-{family}-{T}-{n}-{r}")
+    for route in ("lassalle", "walgebra") for family, T in (("D", None), ("C", "t^2/q"))
+    for n in (1, 2) for r in range(4)]
+
+
+@pytest.mark.parametrize("route,family,T,n,r", _ROUTE_GRID)
+def test_factored_canonical_matches_prs_oracle(route, family, T, n, r):
+    p = _ROUTES[route](family, n, r, _T_VALUES.get(T))
     for c in p.terms.values():
         assert hasattr(c, "den_factors")
         assert str(c.canonical()) == _prs_oracle(c)
@@ -208,11 +217,12 @@ def test_factored_canonical_matches_prs_oracle_principal(family, T, n, r):
     assert str(c.canonical()) == _prs_oracle(c)
 
 
-def test_tableau_compute_runs_without_prs_gcd(monkeypatch, capsys):
+@pytest.mark.parametrize("via", ["tableau", "lassalle", "walgebra"])
+def test_tableau_compute_runs_without_prs_gcd(monkeypatch, capsys, via):
     def refuse(a, b):
         raise AssertionError("the PRS gcd ran")
     monkeypatch.setattr(poly, "poly_gcd", refuse)
-    assert main(["compute", "--family", "D", "--n", "3", "--r", "4"]) == 0
+    assert main(["compute", "--family", "D", "--n", "3", "--r", "4", "--via", via]) == 0
     assert capsys.readouterr().out.startswith("x1^4 + ")
 
 

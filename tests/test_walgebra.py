@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cdmac import walgebra
 from cdmac.errors import PoleError, UsageError
 from cdmac.laurent import LaurentPoly
 from cdmac.macdonald import tableau_poly_D
@@ -105,6 +106,19 @@ def test_phi_r0_r1():
 
 def test_phi_matches_tableau_d22():
     assert phi_principal("D", 2, 2) == tableau_poly_D(2, 2)
+
+
+def test_phi_tableau_path_runs_without_gamma_base(monkeypatch):
+    # the tableau path builds its kernels as factored binomials, not by
+    # evaluating gamma_base in plain Scalar arithmetic
+    expect = phi_principal("C", 2, 3)
+
+    def refuse(z, q, t):
+        raise AssertionError("gamma_base ran")
+    monkeypatch.setattr(walgebra, "gamma_base", refuse)
+    assert phi_principal("C", 2, 3, path="tableau") == expect
+    with pytest.raises(AssertionError, match="gamma_base ran"):
+        phi_principal("C", 1, 2, path="full")
 
 
 def test_phi_full_path_agrees():
