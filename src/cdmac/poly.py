@@ -368,22 +368,18 @@ class Mon:
         return f"Mon({self.coef}, {self.exp})"
 
 
-MON_ONE = Mon(1)
-
-
 # ---------------------------------------------------------------------------
 # display-only gcd
 #
 # Scalar arithmetic never reduces by polynomial gcd (equality is decided by
 # cross-multiplication).  Serialization, however, wants one canonical
 # representative per value so that mathematically equal results print
-# identically whichever route produced them.  The tableau, inversion and
-# principal correlation routes all sum over a factored least common
-# denominator, so their coefficients reach that boundary with denominators
-# already split into irreducible factors and are reduced by trial division
-# (scalar._cancel_den_factors).  The primitive-PRS gcd over Z[u, v, w] below
-# serves the rest: denominators with a binomial whose coefficients are not
-# +-1 (a rational T), and values of plain Scalar arithmetic.
+# identically whichever route produced them.  Scalar.canonical reduces by a
+# gcd against each known denominator factor (scalar._cancel_den_factors):
+# the tableau, inversion and principal correlation routes sum over a
+# factored least common denominator, so the primitive-PRS gcd over
+# Z[u, v, w] below runs against one binomial at a time for them, and
+# against the whole denominator for values of plain Scalar arithmetic.
 # ---------------------------------------------------------------------------
 
 def _split_by_var(terms: dict[int, int], var: int):

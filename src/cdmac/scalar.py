@@ -12,23 +12,20 @@ correlation kernels): it keeps a product of binomial factors
 (1 - c*u^a v^b w^c) unexpanded, so that sums of many such products can share
 a true least-common denominator instead of the naive product of
 denominators.  sum_factored hands that denominator's binomial factors on
-with its result, and Scalar.canonical (the serialization boundary) cancels
-through them: every binomial with unit coefficients splits into irreducible
-cyclotomic factors, which are removed from the numerator by trial division.
-The primitive-PRS gcd of poly.py runs only for the rest: denominators with a
-binomial whose coefficients are not +-1 (a rational T such as 5/7) and
-values built by plain Scalar arithmetic (the full correlation path and the
-test oracles).
+with its result.  Scalar.canonical (the serialization boundary) has one
+reduction rule, a gcd against each known denominator factor: one binomial
+at a time for a sum_factored result, the whole denominator for a value of
+plain Scalar arithmetic (the full correlation path and the test oracles).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
+from . import poly
 from .errors import PoleError
-from .poly import Mon, SparsePoly, _dict_exact_div, _pack, _unpack
+from .poly import Mon, SparsePoly, _dict_exact_div
 
 _ZERO_P = SparsePoly.zero()
 _ONE_P = SparsePoly.one()
@@ -211,26 +208,18 @@ class Scalar:
         """The gcd-reduced representative, for serialization boundaries only.
 
         Arithmetic never calls this; values compare equal to their canonical
-        form by cross-multiplication.  A sum_factored result (the output of
-        every route) is reduced through its known denominator factors; the
-        primitive-PRS gcd runs on what they leave undecided (a rational T)
-        and on values of plain Scalar arithmetic.  The reduced representative
-        is unique, so both ways print the same bytes.
+        form by cross-multiplication.  The reduction is a gcd against each
+        known denominator factor: a sum_factored result (the output of every
+        route) carries its LCD's binomials, and for a plain Scalar the single
+        factor is den without its monomial part.  The reduced representative
+        is unique, so both print the same bytes.
         """
-        from .poly import poly_gcd
         if self.is_zero() or self.den == _ONE_P:
             return self
-        num, den = self.num, self.den
         factors = getattr(self, "den_factors", None)
-        if factors is not None:
-            num, den, complete = _cancel_den_factors(num, den, factors)
-            if complete:
-                return Scalar(num, den)
-        g = poly_gcd(num, den)
-        if not g.is_monomial():
-            num = _exact_poly_div(num, g)
-            den = _exact_poly_div(den, g)
-        return Scalar(num, den)
+        if factors is None:
+            factors = ((self.den.shift(tuple(-e for e in self.den.min_exps())), 1),)
+        return Scalar(*_cancel_den_factors(self.num, self.den, factors))
 
     def eval(self, u, v, w) -> Fraction:
         """Instantiate the generators at exact rationals."""
@@ -272,90 +261,29 @@ class _FactoredDenScalar(Scalar):
     __slots__ = ("den_factors",)
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Integer coefficients of the cyclotomic polynomial Phi_d, lowest first."""
-    p = [-1] + [0] * (d - 1) + [1]  # x^d - 1 is the product of Phi_e over e | d
-    for e in range(1, d):
-        if d % e == 0:
-            m = _cyclotomic(e)
-            deg = len(m) - 1
-            quo = [0] * (len(p) - deg)
-            for i in range(len(quo) - 1, -1, -1):  # m is monic
-                c = quo[i] = p[i + deg]
-                if c:
-                    for j, mj in enumerate(m):
-                        p[i + j] -= c * mj
-            p = quo
-    return tuple(p)
-
-
-def _cyclotomic_split(binomial: dict[int, int]) -> list[dict[int, int]] | None:
-    """Irreducible factors of a packed binomial X^a -+ X^b with coefficients +-1.
-
-    With X^(b-a) = M^g, M = P/N primitive and P, N coprime monomials, the
-    factors are N^phi(d) * Phi_d(P/N): over d | g for X^a - X^b, over the
-    d | 2g with d not dividing g for X^a + X^b.  Each is returned primitive
-    with a positive leading coefficient; their product equals the binomial
-    up to a sign and a monomial.  None when a coefficient is not +-1.
-    """
-    (ka, ca), (kb, cb) = binomial.items()
-    if abs(ca) != 1 or abs(cb) != 1:
-        return None
-    diff = [b - a for a, b in zip(_unpack(ka), _unpack(kb))]
-    g = gcd(*diff)
-    m = [e // g for e in diff]
-    P = [max(e, 0) for e in m]
-    N = [max(-e, 0) for e in m]
-    if ca == -cb:
-        orders = [d for d in range(1, g + 1) if g % d == 0]
-    else:
-        orders = [d for d in range(1, 2 * g + 1) if (2 * g) % d == 0 and g % d]
-    out = []
-    for d in orders:
-        phi = _cyclotomic(d)
-        deg = len(phi) - 1
-        f = {_pack(*(i * x + (deg - i) * y for x, y in zip(P, N))): c
-             for i, c in enumerate(phi) if c}
-        out.append(SparsePoly(Fraction(1), f).prim)
-    return out
-
-
 def _cancel_den_factors(num: SparsePoly, den: SparsePoly, den_factors):
-    """Cancel den's known irreducible factors from num by trial division.
+    """Reduce num/den by a gcd against each known factor of den.
 
-    Returns (num, den, complete); complete is False when some binomial of
-    den_factors has non-unit coefficients, so that num/den may still share
-    a factor only a gcd can find.
+    den is a monomial times the product of p**need over den_factors.  Each
+    copy of p cancels gcd(num, p) from num and leaves p / gcd in the
+    denominator.  Every LCD binomial is squarefree (X^g - c after a
+    unimodular change of the exponent lattice), so one copy at a time leaves
+    num and den coprime.  A plain Scalar passes den without its monomial part
+    as the single factor (den', 1): the whole-denominator gcd.  Returns the
+    reduced (num, den).
     """
-    irreducible: dict[tuple, list] = {}  # merged across binomials
-    rest = []
+    quo = SparsePoly(Fraction(1), num.prim, _normalized=True)
+    left = SparsePoly.one().shift(den.min_exps())
     for p, need in den_factors:
         if p.is_monomial():  # the binomial 1 - c of a constant c
             continue
-        parts = _cyclotomic_split(p.prim)
-        if parts is None:
-            rest.append((p, need))
-            continue
-        for f in parts:
-            slot = irreducible.setdefault(tuple(sorted(f.items())), [f, 0])
-            slot[1] += need
-    quo = num.prim
-    left = SparsePoly.one().shift(den.min_exps())
-    for f, k in irreducible.values():
-        while k:
-            try:
-                quo = _dict_exact_div(quo, f, 0)
-            except ArithmeticError:
-                break
-            k -= 1
-        fp = SparsePoly(Fraction(1), f, _normalized=True)
-        for _ in range(k):
-            left = left * fp
-    for p, need in rest:
+        g = p
         for _ in range(need):
-            left = left * p
-    return SparsePoly(num.content, quo), left, not rest
+            if not g.is_monomial():  # once coprime, later copies stay coprime
+                g = poly.poly_gcd(quo, p)  # looked up per call, so a wrapper is seen
+                quo = _exact_poly_div(quo, g)
+            left = left * _exact_poly_div(p, g)
+    return quo.scaled(num.content), left
 
 
 def field_sqrt(x):
@@ -443,8 +371,6 @@ class FactoredScalar:
 
     def times_poch(self, z: Mon, k: int) -> "FactoredScalar":
         """Multiply by the q-shifted factorial (z; q)_k."""
-        if self.coef == 0:
-            return self
         q = Mon.q()
         if k >= 0:
             for j in range(k):
@@ -455,8 +381,6 @@ class FactoredScalar:
         return self
 
     def div_poch(self, z: Mon, k: int) -> "FactoredScalar":
-        if self.coef == 0:
-            return self
         q = Mon.q()
         if k >= 0:
             for j in range(k):

@@ -38,9 +38,9 @@ def test_routes_byte_equal(capsys):
                                   ("C", "2", "3", "t^3"), ("C", "2", "3", "25/49")],
                          ids=lambda case: " ".join(filter(None, case)))
 def test_routes_byte_equal_factored_vs_prs(capsys, case):
-    # both routes reduce for display through the factors of their own least
-    # common denominators, which differ (at T = 25/49 the PRS gcd finishes
-    # both); equal bytes hold because the reduced form is unique
+    # both routes reduce for display by a gcd against each binomial of their
+    # own least common denominators, which differ; equal bytes hold because
+    # the reduced form is unique
     family, n, r, T = case
     args = ["compute", "--family", family, "--n", n, "--r", r]
     if T is not None:

@@ -1,14 +1,13 @@
 import random
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
 
 from cdmac import macdonald, poly, walgebra
 from cdmac.cli import main
 from cdmac.poly import Mon, SparsePoly
-from cdmac.scalar import (FactoredScalar, Scalar, _binomial_parts, _cyclotomic_split,
-                          field_sqrt, sum_factored)
+from cdmac.errors import PoleError
+from cdmac.scalar import FactoredScalar, Scalar, field_sqrt, sum_factored
 
 T = Scalar.from_mon(Mon.t())
 Q = Scalar.from_mon(Mon.q())
@@ -138,55 +137,69 @@ def test_sum_factored_lcm_denominator():
 
 
 def test_negative_poch_factor_pole():
-    from cdmac.errors import PoleError
     fs = FactoredScalar()
     with pytest.raises(PoleError):
         fs.times_poch(Mon.q(), -1)  # (q;q)_{-1} hits (1 - q/q) in a denominator
 
 
-# -- display reduction through the known denominator factors -----------------
+def test_zero_times_pole_raises_in_either_order():
+    # (1 - 1) in a numerator does not hide (1 - 1) in a denominator
+    with pytest.raises(PoleError):
+        FactoredScalar().times_poch(Mon(1), 1).div_poch(Mon(1), 1)
+    with pytest.raises(PoleError):
+        FactoredScalar().div_poch(Mon(1), 1).times_poch(Mon(1), 1)
+
+
+# -- display reduction: a gcd against each known denominator factor ---------
+
+def _canonical_of(numerator: Mon, denominator: Mon) -> Scalar:
+    s = sum_factored([FactoredScalar().times_poch(numerator, 1).div_poch(denominator, 1)])
+    r = s.canonical()
+    assert r == s
+    return r
+
 
 @pytest.mark.parametrize("direction", [(1, 0, 0), (0, 1, 0), (2, 1, 0), (-1, 1, 0),
                                        (1, -2, 1), (-3, 0, 2)])
 @pytest.mark.parametrize("c", [1, -1])
-def test_cyclotomic_split_reproduces_binomial(direction, c):
-    # 1 - c*M^g for a primitive monomial M, as sum_factored stores it; the
-    # directions with mixed signs give binomials like u^2 - v^2 (1 - t/q)
+def test_binomial_gcd_cancels_divisor_binomial(direction, c):
+    # (1 - c0*M^(g/k)) / (1 - c*M^g) with c0^k = c reduces to one over the
+    # k-term quotient; the directions with mixed signs give binomials like
+    # u^2 - v^2 (1 - t/q)
     for g in range(1, 13):
-        _, _, _, binomial = _binomial_parts(Mon(c, tuple(g * e for e in direction)))
-        parts = _cyclotomic_split(binomial.prim)
-        orders = [d for d in range(1, 2 * g + 1)
-                  if (g % d == 0 if c == 1 else (2 * g % d == 0 and g % d))]
-        assert len(parts) == len(orders)
-        assert len({tuple(sorted(f.items())) for f in parts}) == len(parts)
-        prod = SparsePoly.one()
-        for f in parts:
-            lead = max(f, key=poly._grlex)
-            assert f[lead] > 0 and gcd(*f.values()) == 1  # primitive
-            prod = prod * SparsePoly(F(1), f, _normalized=True)
-        assert prod.prim == binomial.prim  # both primitive with positive lead
+        den = Mon(c, tuple(g * e for e in direction))
+        for k in range(1, g + 1):
+            if g % k or (c == -1 and k % 2 == 0):
+                continue
+            num = Mon(c, tuple(g // k * e for e in direction))
+            r = _canonical_of(num, den)
+            assert r.num.is_monomial() and len(r.den.prim) == k
+            assert str(r) == _prs_oracle(r)  # already in lowest terms
 
 
-def test_cyclotomic_split_mixed_signs():
+def test_binomial_gcd_mixed_signs():
     # 1 - t/q is u^2 - v^2 = (u - v)(u + v) after clearing the monomial
-    _, _, _, binomial = _binomial_parts(Mon(1, (-2, 2, 0)))
-    parts = {str(SparsePoly(F(1), f)) for f in _cyclotomic_split(binomial.prim)}
-    assert parts == {"q^{1/2} - t^{1/2}", "q^{1/2} + t^{1/2}"}
+    r = _canonical_of(Mon(1, (-1, 1, 0)), Mon(1, (-2, 2, 0)))
+    assert str(r.den) == "q^{1/2} + t^{1/2}"
 
 
-def test_cyclotomic_split_declines_non_unit_coefficients():
-    _, _, _, binomial = _binomial_parts(Mon(F(5, 7), (2, 0, 0)))
-    assert _cyclotomic_split(binomial.prim) is None
+def test_binomial_gcd_non_unit_coefficients():
+    # over Q, 1 - (25/49)q^2 and 1 - (8/27)q^3 split off 1 - (5/7)q and
+    # 1 - (2/3)q; neither split is cyclotomic
+    assert str(_canonical_of(Mon(F(5, 7), (2, 0, 0)), Mon(F(25, 49), (4, 0, 0)))) == \
+        "(7)/(5*q^{1/2}^2 + 7)"
+    assert str(_canonical_of(Mon(F(2, 3), (2, 0, 0)), Mon(F(8, 27), (6, 0, 0)))) == \
+        "(9)/(4*q^{1/2}^4 + 6*q^{1/2}^2 + 9)"
 
 
 def _prs_oracle(c: Scalar) -> str:
     # a plain Scalar carries no denominator factors, so canonical() runs the
-    # primitive-PRS gcd
+    # primitive-PRS gcd against the whole denominator
     return str(Scalar(c.num, c.den).canonical())
 
 
 _T_VALUES = {"t^2/q": macdonald.T_SPECIAL, "symbolic": Mon.T(), "t^3": Mon.t(3),
-             "5/7": F(5, 7), "25/49": F(25, 49)}
+             "5/7": F(5, 7), "25/49": F(25, 49), "16/81": F(16, 81), "8/27": F(8, 27)}
 _TABLEAU_GRID = [("D", None, n, r) for n in (1, 2, 3) for r in range(4)] + [
     ("C", name, n, r) for name in _T_VALUES for n in (1, 2, 3) for r in range(4)
     # the PRS oracle needs minutes on C symbolic (3, 3), for either test
@@ -210,29 +223,27 @@ def test_factored_canonical_matches_prs_oracle(route, family, T, n, r):
         assert str(c.canonical()) == _prs_oracle(c)
 
 
-@pytest.mark.parametrize("family,T,n,r", [case for case in _TABLEAU_GRID
-                                           if case[1] != "5/7"])  # sqrt(5/7) not in Q
+@pytest.mark.parametrize("family,T,n,r", [case for case in _TABLEAU_GRID  # sqrt(T) not in Q
+                                           if case[1] not in ("5/7", "8/27")])
 def test_factored_canonical_matches_prs_oracle_principal(family, T, n, r):
     c = macdonald.principal_specialize(family, n, r, _T_VALUES.get(T))
     assert str(c.canonical()) == _prs_oracle(c)
 
 
-@pytest.mark.parametrize("via", ["tableau", "lassalle", "walgebra"])
-def test_tableau_compute_runs_without_prs_gcd(monkeypatch, capsys, via):
-    def refuse(a, b):
-        raise AssertionError("the PRS gcd ran")
-    monkeypatch.setattr(poly, "poly_gcd", refuse)
-    assert main(["compute", "--family", "D", "--n", "3", "--r", "4", "--via", via]) == 0
-    assert capsys.readouterr().out.startswith("x1^4 + ")
-
-
-def test_rational_T_falls_back_to_prs_gcd(monkeypatch, capsys):
-    calls = []
+@pytest.mark.parametrize("args", [
+    pytest.param(["--family", "D", "--n", "3", "--r", "4", "--via", via], id=via)
+    for via in ("tableau", "lassalle", "walgebra")] + [
+    pytest.param(["--family", "C", "--n", "2", "--r", "2", "--T", "5/7"], id="C-5/7")])
+def test_compute_gcd_runs_against_single_binomials(monkeypatch, capsys, args):
+    # canonical's only gcd is against one known denominator factor: on every
+    # route's output that is a binomial, never the whole denominator
+    sizes = []
     real = poly.poly_gcd
 
-    def counting(a, b):
-        calls.append(1)
+    def recording(a, b):
+        sizes.append(len(b.prim))
         return real(a, b)
-    monkeypatch.setattr(poly, "poly_gcd", counting)
-    assert main(["compute", "--family", "C", "--n", "2", "--r", "2", "--T", "5/7"]) == 0
-    assert calls
+    monkeypatch.setattr(poly, "poly_gcd", recording)
+    assert main(["compute", *args]) == 0
+    assert capsys.readouterr().out.startswith("x1^")
+    assert sizes and max(sizes) <= 2
