@@ -12,7 +12,7 @@ from .errors import NonLaurentResultError, PoleError, UsageError
 from .koornwinder import (EigenvalueData, KoornwinderParams, bc_specialize,
                           koornwinder_apply, koornwinder_eigenvalue,
                           triangularity_check)
-from .laurent import LaurentPoly, divide_exact
+from .laurent import LaurentPoly
 from .macdonald import (T_SPECIAL, g_series, lassalle_expand, lassalle_invert,
                         principal_closed_form, principal_point,
                         principal_specialize, tableau_poly,

@@ -4,9 +4,13 @@ The operator acts on hyperoctahedrally invariant Laurent polynomials and is
 used as an independent certificate: a candidate one-row polynomial P is
 accepted when D_x P = d_lambda P exactly and P is monic-triangular.
 
-The sum over shift directions is assembled over one global product of the
-simple-pole factors, and the final exact division back to a Laurent
-polynomial is asserted, not assumed: failure raises NonLaurentResultError.
+Every factor of the operator is a binomial 1 - c x^e, kept as the pair
+(c, e) and never expanded.  Each pole binomial is normalized, up to a
+monomial unit, to a lexicographically positive e; the distinct normalized
+binomials are the true least common denominator of the sum over shift
+directions (n^2 + 2n of them at rank n).  The sum is divided back by one
+binomial at a time, and each division is asserted exact, not assumed:
+failure raises NonLaurentResultError.
 """
 
 from __future__ import annotations
@@ -66,44 +70,28 @@ def koornwinder_eigenvalue(lam, kp: KoornwinderParams) -> EigenvalueData:
     return EigenvalueData(d, s)
 
 
-def _e(n: int, i: int, v: int) -> tuple[int, ...]:
-    return tuple(v if k == i else 0 for k in range(n))
+def _directions(kp: KoornwinderParams, n: int):
+    """Numerator and pole binomials of each shift direction x_i -> q^sg x_i.
 
-
-def _e2(n: int, i: int, vi: int, j: int, vj: int) -> tuple[int, ...]:
-    out = [0] * n
-    out[i] += vi
-    out[j] += vj
-    return tuple(out)
-
-
-def _binom(n: int, e: tuple[int, ...], coef) -> LaurentPoly:
-    """1 - coef * x^e."""
-    return LaurentPoly(n, {(0,) * n: 1}) + LaurentPoly(n, {e: -coef if coef else 0})
-
-
-def _apply_factors(kp: KoornwinderParams, n: int):
-    """Numerator polynomials and pole-factor lists for every (i, direction)."""
-    a, b, c, d, q, t = kp.a, kp.b, kp.c, kp.d, kp.q, kp.t
-    plans = []
+    A binomial is a pair (c, e) standing for 1 - c x^e.
+    """
+    one = kp.q ** 0  # the coefficient field's 1, so that 1 / one stays exact
     for i in range(n):
         for sg in (+1, -1):
-            num = [
-                _binom(n, _e(n, i, sg), a), _binom(n, _e(n, i, sg), b),
-                _binom(n, _e(n, i, sg), c), _binom(n, _e(n, i, sg), d),
-            ]
-            den = [
-                _binom(n, _e(n, i, 2 * sg), 1), _binom(n, _e(n, i, 2 * sg), q),
-            ]
-            for j in range(n):
-                if j == i:
-                    continue
-                num.append(_binom(n, _e2(n, i, sg, j, 1), t))
-                num.append(_binom(n, _e2(n, i, sg, j, -1), t))
-                den.append(_binom(n, _e2(n, i, sg, j, 1), 1))
-                den.append(_binom(n, _e2(n, i, sg, j, -1), 1))
-            plans.append((i, sg, num, den))
-    return plans
+            xi = tuple(sg if k == i else 0 for k in range(n))
+            xi2 = tuple(2 * v for v in xi)
+            pairs = [tuple(sj if k == j else v for k, v in enumerate(xi))
+                     for j in range(n) if j != i for sj in (+1, -1)]
+            num = [(c, xi) for c in (kp.a, kp.b, kp.c, kp.d)] + [(kp.t, e) for e in pairs]
+            den = [(one, xi2), (kp.q, xi2)] + [(one, e) for e in pairs]
+            yield i, sg, num, den
+
+
+def _times(p: LaurentPoly, c, e) -> LaurentPoly:
+    """p * (1 - c x^e)."""
+    nc = -c
+    return p + LaurentPoly(p.rank, {tuple(x + y for x, y in zip(f, e)): nc * v
+                                    for f, v in p.terms.items()})
 
 
 def _clear_denominators(p: LaurentPoly):
@@ -138,49 +126,41 @@ def _clear_denominators(p: LaurentPoly):
 def koornwinder_apply(p: LaurentPoly, kp: KoornwinderParams) -> LaurentPoly:
     """Apply the q-difference operator D_x to p, exactly.
 
-    Each direction contributes rational coefficient * (shifted p - p); the sum
-    is formed over the product of all distinct pole factors and divided back.
+    Direction (i, sign) contributes (shifted p - p) times its numerator
+    binomials over its pole binomials.  Each pole binomial is normalized up to
+    a monomial unit to a lexicographically positive exponent; the distinct
+    normalized binomials form the least common denominator.  The sum over it
+    is divided back by one binomial at a time.
     """
     D, cleared = _clear_denominators(p)
     if D is not None:
         return koornwinder_apply(cleared, kp).scale(Scalar.one() / D)
     n = p.rank
-    plans = _apply_factors(kp, n)
-    # every pole factor occurs in exactly one direction's denominator except
-    # the pair factors, shared between (+i) and (+j) resp. (-i) and (-j);
-    # the set below is the true least common denominator
-    delta_factors = []
-    seen = set()
-    for _, _, _, den in plans:
-        for f in den:
-            key = tuple(sorted((e, str(cf)) for e, cf in f.terms.items()))
-            if key not in seen:
-                seen.add(key)
-                delta_factors.append(f)
+    zero = (0,) * n
+    plans, lcd = [], []
+    for i, sg, num, den in _directions(kp, n):
+        unit_c, unit_e, own = 1, zero, []
+        for c, e in den:
+            if e < zero:  # 1 - c x^e = -c x^e (1 - c^-1 x^-e)
+                unit_c, unit_e = -c * unit_c, tuple(x + y for x, y in zip(unit_e, e))
+                c, e = 1 / c, tuple(-v for v in e)
+            own.append((c, e))
+        lcd += [f for f in own if f not in lcd]
+        plans.append((i, sg, num, own, unit_c, unit_e))
     total = LaurentPoly.zero(n)
-    qinv = 1 / kp.q
-    for i, sg, num, den in plans:
-        shifted = p.shift_variable(i, kp.q if sg > 0 else qinv)
-        diff = shifted - p
-        if diff.is_zero():
+    for i, sg, num, own, unit_c, unit_e in plans:
+        part = p.shift_variable(i, kp.q ** sg) - p
+        if part.is_zero():
             continue
-        den_keys = {tuple(sorted((e, str(cf)) for e, cf in f.terms.items())) for f in den}
-        part = diff
-        for f in num:
-            part = part * f
-        for f in delta_factors:
-            key = tuple(sorted((e, str(cf)) for e, cf in f.terms.items()))
-            if key not in den_keys:
-                part = part * f
-        total = total + part
-    if total.is_zero():
-        return total
-    delta = LaurentPoly.one(n)
-    for f in delta_factors:
-        delta = delta * f
-    out = divide_exact(total, delta)
-    scale = 1 / (kp.alpha * kp.t ** (n - 1))
-    return out.scale(scale)
+        # only q = 1 repeats a pole binomial within one direction, and then
+        # no direction gets this far: the lcd needs no multiplicities
+        for c, e in num + [f for f in lcd if f not in own]:
+            part = _times(part, c, e)
+        total = total + LaurentPoly(n, {tuple(x - y for x, y in zip(f, unit_e)): v / unit_c
+                                        for f, v in part.terms.items()})
+    for c, e in lcd:
+        total = divide_exact(total, c, e)
+    return total.scale(1 / (kp.alpha * kp.t ** (n - 1)))
 
 
 def triangularity_check(p: LaurentPoly, r: int) -> bool:
@@ -190,7 +170,7 @@ def triangularity_check(p: LaurentPoly, r: int) -> bool:
     all partial sums must stay <= r and the total may not exceed r.
     """
     n = p.rank
-    top = _e(n, 0, r)
+    top = (r,) + (0,) * (n - 1)
     if not p.coefficient(top) == 1:
         return False
     for e in p.terms:

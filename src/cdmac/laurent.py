@@ -9,6 +9,7 @@ descending lexicographic on the exponent vectors.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import NonLaurentResultError, UsageError
 from .scalar import Scalar
@@ -372,41 +373,36 @@ def _parse_lterm(chunk: str, rank: int, field: str):
 # exact division
 # ---------------------------------------------------------------------------
 
-def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent-polynomial division num / den.
+def divide_exact(p: LaurentPoly, c, e: tuple[int, ...]) -> LaurentPoly:
+    """Exact division p / (1 - c x^e) by one binomial: c != 0, e lexicographically positive.
 
-    Graded-lex long division with box bounds on the quotient support; raises
-    NonLaurentResultError when the division leaves a remainder.
+    Quotient terms are peeled off in increasing lexicographic order.  An
+    exact quotient lies in p's exponent box shrunk by the segment [0, e], so
+    a quotient term outside it means a remainder: NonLaurentResultError.
     """
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero Laurent polynomial")
-    if num.is_zero():
-        return LaurentPoly(num.rank)
-    num._check_rank(den)
-    n = num.rank
-
-    def grlex(e):
-        return (sum(e), e)
-
-    lead_d = max(den.terms, key=grlex)
-    cd = den.terms[lead_d]
-    lo = tuple(min(e[i] for e in num.terms) - min(e[i] for e in den.terms) for i in range(n))
-    hi = tuple(max(e[i] for e in num.terms) - max(e[i] for e in den.terms) for i in range(n))
-
-    rem = dict(num.terms)
-    quo: dict[tuple[int, ...], object] = {}
-    while rem:
-        lead_n = max(rem, key=grlex)
-        qe = tuple(a - b for a, b in zip(lead_n, lead_d))
-        if any(qe[i] < lo[i] or qe[i] > hi[i] for i in range(n)):
+    n = p.rank
+    if p.is_zero():
+        return p
+    lo = [min(f[k] for f in p.terms) - min(e[k], 0) for k in range(n)]
+    hi = [max(f[k] for f in p.terms) - max(e[k], 0) for k in range(n)]
+    rem = dict(p.terms)
+    heap = list(rem)
+    heapify(heap)
+    quo = {}
+    while heap:
+        m = heappop(heap)
+        qc = rem.pop(m, 0)
+        if not qc:
+            continue
+        if any(not lo[k] <= m[k] <= hi[k] for k in range(n)):
             raise NonLaurentResultError("denominators do not clear: remainder left")
-        qc = rem[lead_n] / cd
-        quo[qe] = qc
-        for e, c in den.terms.items():
-            f = tuple(a + b for a, b in zip(qe, e))
-            s = rem.get(f, 0) - qc * c
-            if s:
-                rem[f] = s
-            else:
-                rem.pop(f, None)
+        quo[m] = qc
+        g = tuple(x + y for x, y in zip(m, e))
+        if g not in rem:
+            heappush(heap, g)
+        s = rem.get(g, 0) + c * qc
+        if s:
+            rem[g] = s
+        else:
+            rem.pop(g, None)
     return LaurentPoly(n, quo)

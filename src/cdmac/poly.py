@@ -21,15 +21,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import UsageError
+
 GEN_NAMES = ("q^{1/2}", "t^{1/2}", "T^{1/2}")
 
-# exponent packing: 20 bits per generator, exponents are nonnegative
+# exponent packing: 20 bits per generator, exponents are nonnegative; _pack
+# checks the range, SparsePoly.__mul__ adds packed keys without a check
 _SHIFT_U = 40
 _SHIFT_V = 20
 _MASK = (1 << 20) - 1
 
 
 def _pack(eu: int, ev: int, ew: int) -> int:
+    if not (0 <= eu <= _MASK and 0 <= ev <= _MASK and 0 <= ew <= _MASK):
+        raise UsageError(f"generator exponents {(eu, ev, ew)} leave the 20-bit "
+                         "packing range [0, 2^20)")
     return (eu << _SHIFT_U) | (ev << _SHIFT_V) | ew
 
 

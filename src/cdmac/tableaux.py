@@ -28,10 +28,6 @@ class Alphabet:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
 
-    @property
-    def size(self) -> int:
-        return 2 * self.rank
-
     def letter_names(self) -> list[str]:
         n = self.rank
         return [str(k) for k in range(1, n + 1)] + [f"{k}bar" for k in range(n, 0, -1)]
@@ -41,9 +37,6 @@ class Alphabet:
 class OneRowTableau:
     alphabet: Alphabet
     theta: tuple[int, ...]
-
-    def size(self) -> int:
-        return sum(self.theta)
 
     def weight(self) -> tuple[int, ...]:
         """Exponent vector: component i is theta_(i+1) - theta_(i+1)bar."""

@@ -120,6 +120,14 @@ def test_unparsable_T_exits_2(capsys, T):
     assert "Traceback" not in err
 
 
+def test_T_exponent_outside_packing_exits_2(capsys):
+    # 2 * 524288 half-powers of t used to carry into the q^{1/2} field
+    code, out, err = run(capsys, "compute", "--family", "C", "--n", "1", "--r", "2",
+                         "--T", "t^524288")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 def test_pole_exit_3(capsys):
     # T = q^-1 makes a lower q-shifted-factorial entry hit 1 at rank 1, row 2
     code, _, err = run(capsys, "compute", "--family", "C", "--n", "1", "--r", "2",

@@ -8,10 +8,12 @@ from cdmac.koornwinder import (KoornwinderParams, bc_specialize,
                                koornwinder_apply, koornwinder_eigenvalue,
                                triangularity_check)
 from cdmac.laurent import LaurentPoly
-from cdmac.macdonald import tableau_poly_C_special, tableau_poly_D
+from cdmac.macdonald import (T_SPECIAL, _family_T, tableau_poly,
+                             tableau_poly_C_special, tableau_poly_D)
 from cdmac.oracle import eigenvalue_bracket_form
 from cdmac.poly import Mon
 from cdmac.scalar import Scalar
+from cdmac.verify import _EIGEN_SAMPLES
 
 Q = Scalar.from_mon(Mon.q())
 T = Scalar.from_mon(Mon.t())
@@ -134,6 +136,25 @@ def test_asymmetric_input_reports_non_clearing():
     lopsided = LaurentPoly(2, {(1, 0): F(1)})
     with pytest.raises(NonLaurentResultError):
         koornwinder_apply(lopsided, kp)
+
+
+@pytest.mark.parametrize("family,n,r", [("D", 2, 3), ("D", 3, 2), ("C", 2, 3)])
+def test_orbit_sum_perturbation_rejected(family, n, r):
+    # p + sum_i (x_i + 1/x_i) is still symmetric and triangular, so every
+    # division clears, but it is no eigenfunction
+    u, v, w = _EIGEN_SAMPLES[0]
+    fam_T = T_SPECIAL if family == "C" else None
+    p = tableau_poly(family, n, r, fam_T).map_coefficients(lambda c: c.eval(u, v, w))
+    kp = bc_specialize(F(1), Scalar.from_mon(_family_T(family, fam_T)).eval(u, v, w),
+                       u * u, v * v)
+    d = koornwinder_eigenvalue((r,) + (0,) * (n - 1), kp).d_lambda
+    assert koornwinder_apply(p, kp) == p.scale(d)
+    bad = p
+    for i in range(n):
+        e = tuple(1 if k == i else 0 for k in range(n))
+        bad = bad + LaurentPoly(n, {e: F(1), tuple(-x for x in e): F(1)})
+    assert bad.hyperoctahedral_check() and triangularity_check(bad, r)
+    assert not koornwinder_apply(bad, kp) == bad.scale(d)
 
 
 def test_sampled_matches_symbolic_apply():

@@ -86,19 +86,33 @@ def test_shift_variable():
 
 
 def test_divide_exact_round_trip():
+    # (p * (1 - c x^e)) / (1 - c x^e) == p; a lexicographically negative e is
+    # first normalized as 1 - c x^e = -c x^e (1 - c^-1 x^-e)
     rng = random.Random(8)
-    for _ in range(25):
-        a, b = rnd_laurent(rng), rnd_laurent(rng)
-        if b.is_zero():
+    flipped = 0
+    for _ in range(40):
+        p = rnd_laurent(rng)
+        e = tuple(rng.randrange(-2, 3) for _ in range(2))
+        if not any(e):
             continue
-        assert divide_exact(a * b, b) == a
+        c = F(rng.choice((-1, 1)) * rng.randrange(1, 6), rng.randrange(1, 6))
+        prod = p * (LaurentPoly.one(2, F(1)) - LaurentPoly.monomial(2, e, c))
+        if e > (0, 0):
+            assert divide_exact(prod, c, e) == p
+        else:
+            flipped += 1
+            unit = LaurentPoly.monomial(2, e, -c)
+            assert divide_exact(prod, 1 / c, tuple(-v for v in e)) == p * unit
+    assert flipped
 
 
 def test_divide_exact_remainder_raises():
-    n = (x(0, 1) + LaurentPoly.one(1, F(3)))
-    d = (x(0, 1) + LaurentPoly.one(1, F(1)))
     with pytest.raises(NonLaurentResultError):
-        divide_exact(n, d)
+        divide_exact(x(0, 1) + LaurentPoly.one(1, F(3)), F(-1), (1,))
+    # 1 + x1 over 1 - 2 x2: every x2^k stays below x1 in lex order, so only
+    # the exponent box ends this division
+    with pytest.raises(NonLaurentResultError):
+        divide_exact(x(0, 2) + LaurentPoly.one(2, F(1)), F(2), (0, 1))
 
 
 def test_str_and_parse_fraction():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cdmac.errors import UsageError
 from cdmac.poly import Mon, SparsePoly, poly_gcd, _dict_exact_div
 
 
@@ -77,6 +78,16 @@ def test_mon_arithmetic():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         SparsePoly.from_mon(Mon(1, (-1, 0, 0)))
+
+
+def test_exponent_outside_packing_rejected():
+    # a field must not borrow from or carry into its neighbour
+    with pytest.raises(UsageError):
+        SparsePoly.from_mon(Mon(1, (1, 0, 0))).shift((0, -1, 0))
+    with pytest.raises(UsageError):
+        SparsePoly.from_mon(Mon(1, (0, 0, 1 << 20)))
+    top = SparsePoly.from_mon(Mon(1, (0, (1 << 20) - 1, 0)))
+    assert top.monomial().exp == (0, (1 << 20) - 1, 0)
 
 
 def test_gcd_divides_both():

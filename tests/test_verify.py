@@ -45,5 +45,7 @@ def test_eigen_check_single():
 
 
 def test_suite_lassalle_small():
-    rep = verify.run_suite("lassalleD", seed=0, n_max=2, r_max=2)
-    assert rep.passed and len(rep.results) == 6
+    # lassalleC: 6 special-T instances and 12 general-T ones (4 T values at n = 2)
+    for suite, count in (("lassalleD", 6), ("lassalleC", 18)):
+        rep = verify.run_suite(suite, seed=0, n_max=2, r_max=2)
+        assert rep.passed and len(rep.results) == count
