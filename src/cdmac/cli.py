@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import macdonald, verify, walgebra
+from . import macdonald, qseries, verify, walgebra
 from .errors import NonLaurentResultError, PoleError, UsageError
 from .laurent import LaurentPoly
 from .poly import Mon
@@ -107,13 +107,17 @@ def _apply_config(argv: list[str]) -> list[str]:
     except IndexError:
         raise UsageError("--config needs a file path")
     extra = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            extra.extend([f"--{key.strip()}", value.strip()])
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read --config {path!r}: {exc}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        extra.extend([f"--{key.strip()}", value.strip()])
     return argv[:i] + extra + argv[i + 2:]
 
 
@@ -142,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, default=3)
     pv.add_argument("--r", type=int, default=4)
     pv.add_argument("--budget", type=int, default=50000)
-    pv.add_argument("--corrupt", default=None, metavar="IDENTITY",
+    pv.add_argument("--corrupt", default=None, choices=qseries.IDENTITY_IDS, metavar="IDENTITY",
                     help="negative-control fixture: corrupt the named identity")
     pv.set_defaults(fn=_verify)
 

@@ -14,15 +14,24 @@ this module and the package does not export it.
     enumeration, against the one-row tableaux that the 'tableau' path of
     walgebra.phi_principal enumerates
     (tests/test_walgebra.py::test_surviving_support_is_tableaux).
+  * prs_gcd -- the recursive primitive-PRS gcd over Z[u, v, w] (Brown,
+    J. ACM 18 (1971)), against the lattice-line gcd poly.poly_gcd
+    (tests/test_poly.py::test_binomial_gcd_matches_prs_oracle).
+  * prs_lowest_terms -- a Scalar in lowest terms through prs_gcd against its
+    whole denominator, against Scalar.canonical, which takes poly.poly_gcd
+    against one binomial at a time (tests/test_scalar.py,
+    tests/test_independence.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .koornwinder import KoornwinderParams
 from .laurent import LaurentPoly
-from .scalar import Scalar, field_sqrt
+from .poly import _MASK, _SHIFT_U, _SHIFT_V, SparsePoly, _dict_exact_div
+from .scalar import Scalar, _exact_poly_div, field_sqrt
 from .walgebra import GammaTable, _kernel_product, _letter_tuples, _principal_spec
 
 
@@ -97,3 +106,128 @@ def surviving_tuples(family: str, l: int, r: int, budget: int = 50000) -> set:
     table = GammaTable(family, l, spec.q, spec.t)
     return {eps for eps in _letter_tuples(l, r, budget)
             if _kernel_product(table, eps, spec.z)}
+
+
+# ---------------------------------------------------------------------------
+# primitive-PRS gcd over Z[u, v, w], in packed form
+# ---------------------------------------------------------------------------
+
+def _split_by_var(terms: dict[int, int], var: int):
+    """Group a packed term dict by the exponent of one generator."""
+    shifts = (_SHIFT_U, _SHIFT_V, 0)
+    out: dict[int, dict[int, int]] = {}
+    for key, c in terms.items():
+        e = (key >> shifts[var]) & _MASK if var < 2 else key & _MASK
+        rest = key - (e << shifts[var] if var < 2 else e)
+        out.setdefault(e, {})[rest] = c
+    return out
+
+
+def _join_by_var(coeffs: dict[int, dict[int, int]], var: int) -> dict[int, int]:
+    shifts = (_SHIFT_U, _SHIFT_V, 0)
+    out: dict[int, int] = {}
+    for e, sub in coeffs.items():
+        for rest, c in sub.items():
+            out[rest + (e << shifts[var] if var < 2 else e)] = c
+    return out
+
+
+def _dict_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _dict_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) - c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _gcd_packed(a: dict[int, int], b: dict[int, int], var: int = 0) -> dict[int, int]:
+    """Primitive-PRS gcd of integer polynomials in packed form."""
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    if var == 3:
+        # both are pure integers living at key 0
+        return {0: gcd(a.get(0, 0), b.get(0, 0))}
+    av = _split_by_var(a, var)
+    bv = _split_by_var(b, var)
+    if len(av) == 1 and 0 in av and len(bv) == 1 and 0 in bv:
+        return _gcd_packed(a, b, var + 1)
+
+    def content(sv):
+        g: dict[int, int] = {}
+        for sub in sv.values():
+            g = _gcd_packed(g, sub, var + 1)
+        return g
+
+    def primitive(sv, cont):
+        out = {}
+        for e, sub in sv.items():
+            q = _dict_exact_div(sub, cont, var + 1)
+            out[e] = q
+        return out
+
+    ca, cb = content(av), content(bv)
+    pa, pb = primitive(av, ca), primitive(bv, cb)
+    # primitive PRS on the main variable
+    while True:
+        if not pb:
+            g = pa
+            break
+        da, db = max(pa), max(pb)
+        if da < db:
+            pa, pb = pb, pa
+            continue
+        lb = pb[db]
+        # pseudo-reduce pa by pb until its degree drops below db
+        work = pa
+        while work and max(work) >= db:
+            dw = max(work)
+            lw = work[dw]
+            scaled = {e: _dict_mul(sub, lb) for e, sub in work.items()}
+            shift = {e + dw - db: _dict_mul(sub, lw) for e, sub in pb.items()}
+            nxt: dict[int, dict[int, int]] = {}
+            for e in set(scaled) | set(shift):
+                s = _dict_sub(scaled.get(e, {}), shift.get(e, {}))
+                if s:
+                    nxt[e] = s
+            work = nxt
+        if not work:
+            g = pb
+            break
+        cw = content(work)
+        pa, pb = pb, primitive(work, cw)
+    cg = _gcd_packed(ca, cb, var + 1)
+    return _join_by_var({e: _dict_mul(sub, cg) for e, sub in g.items()}, var)
+
+
+def prs_gcd(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    """gcd of the primitive parts of any two polynomials (content ignored)."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    g = _gcd_packed(a.prim, b.prim, 0)
+    return SparsePoly(Fraction(1), g)
+
+
+def prs_lowest_terms(c: Scalar) -> Scalar:
+    """c in lowest terms, by prs_gcd against its whole denominator."""
+    g = prs_gcd(c.num, c.den.shift(tuple(-e for e in c.den.min_exps())))
+    return Scalar(_exact_poly_div(c.num, g), _exact_poly_div(c.den, g))

@@ -19,17 +19,22 @@ u > v > w, and it fixes both the leading term and the serialization.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
 from .errors import UsageError
 
 GEN_NAMES = ("q^{1/2}", "t^{1/2}", "T^{1/2}")
 
-# exponent packing: 20 bits per generator, exponents are nonnegative; _pack
-# checks the range, SparsePoly.__mul__ adds packed keys without a check
-_SHIFT_U = 40
-_SHIFT_V = 20
+# exponent packing: a 21-bit field per generator holding an exponent in
+# [0, 2^20), which _pack checks.  Bit 20 of each field is a guard bit that a
+# valid key leaves at 0: a sum of two valid keys that overflows a field sets
+# it instead of carrying into the next field, and SparsePoly.__mul__ checks it
+_SHIFT_U = 42
+_SHIFT_V = 21
 _MASK = (1 << 20) - 1
+_GUARD = (1 << 20) * (1 + (1 << _SHIFT_V) + (1 << _SHIFT_U))
 
 
 def _pack(eu: int, ev: int, ew: int) -> int:
@@ -186,6 +191,9 @@ class SparsePoly:
             for kb, cb in b.items():
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
+        if reduce(or_, out) & _GUARD:
+            raise UsageError("a product's generator exponent leaves the 20-bit "
+                             "packing range [0, 2^20)")
         out = {k: c for k, c in out.items() if c}
         # product of primitive integer polynomials is primitive; sign of the
         # leading coefficient is the product of signs, already positive here
@@ -381,117 +389,12 @@ class Mon:
 # cross-multiplication).  Serialization, however, wants one canonical
 # representative per value so that mathematically equal results print
 # identically whichever route produced them.  Scalar.canonical reduces by a
-# gcd against each known denominator factor (scalar._cancel_den_factors):
-# the tableau, inversion and principal correlation routes sum over a
-# factored least common denominator, so the primitive-PRS gcd over
-# Z[u, v, w] below runs against one binomial at a time for them, and
-# against the whole denominator for values of plain Scalar arithmetic.
+# gcd against each binomial factor of the denominator.  A binomial is a
+# monomial times c1*X^g + c2, X = x^d0 for a primitive lattice direction d0;
+# Q[Z^3] is free over Q[X, 1/X] on the cosets of Z*d0, so its gcd with a is
+# univariate, against every coset slice of a (the test oracle is
+# oracle.prs_gcd, a multivariate primitive-PRS gcd).
 # ---------------------------------------------------------------------------
-
-def _split_by_var(terms: dict[int, int], var: int):
-    """Group a packed term dict by the exponent of one generator."""
-    shifts = (_SHIFT_U, _SHIFT_V, 0)
-    out: dict[int, dict[int, int]] = {}
-    for key, c in terms.items():
-        e = (key >> shifts[var]) & _MASK if var < 2 else key & _MASK
-        rest = key - (e << shifts[var] if var < 2 else e)
-        out.setdefault(e, {})[rest] = c
-    return out
-
-
-def _join_by_var(coeffs: dict[int, dict[int, int]], var: int) -> dict[int, int]:
-    shifts = (_SHIFT_U, _SHIFT_V, 0)
-    out: dict[int, int] = {}
-    for e, sub in coeffs.items():
-        for rest, c in sub.items():
-            out[rest + (e << shifts[var] if var < 2 else e)] = c
-    return out
-
-
-def _dict_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def _dict_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) - c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _gcd_packed(a: dict[int, int], b: dict[int, int], var: int = 0) -> dict[int, int]:
-    """Primitive-PRS gcd of integer polynomials in packed form."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    if var == 3:
-        # both are pure integers living at key 0
-        return {0: gcd(a.get(0, 0), b.get(0, 0))}
-    av = _split_by_var(a, var)
-    bv = _split_by_var(b, var)
-    if len(av) == 1 and 0 in av and len(bv) == 1 and 0 in bv:
-        return _gcd_packed(a, b, var + 1)
-
-    def content(sv):
-        g: dict[int, int] = {}
-        for sub in sv.values():
-            g = _gcd_packed(g, sub, var + 1)
-        return g
-
-    def primitive(sv, cont):
-        out = {}
-        for e, sub in sv.items():
-            q = _dict_exact_div(sub, cont, var + 1)
-            out[e] = q
-        return out
-
-    ca, cb = content(av), content(bv)
-    pa, pb = primitive(av, ca), primitive(bv, cb)
-    # primitive PRS on the main variable
-    while True:
-        if not pb:
-            g = pa
-            break
-        da, db = max(pa), max(pb)
-        if da < db:
-            pa, pb = pb, pa
-            continue
-        lb = pb[db]
-        # pseudo-reduce pa by pb until its degree drops below db
-        work = pa
-        while work and max(work) >= db:
-            dw = max(work)
-            lw = work[dw]
-            scaled = {e: _dict_mul(sub, lb) for e, sub in work.items()}
-            shift = {e + dw - db: _dict_mul(sub, lw) for e, sub in pb.items()}
-            nxt: dict[int, dict[int, int]] = {}
-            for e in set(scaled) | set(shift):
-                s = _dict_sub(scaled.get(e, {}), shift.get(e, {}))
-                if s:
-                    nxt[e] = s
-            work = nxt
-        if not work:
-            g = pb
-            break
-        cw = content(work)
-        pa, pb = pb, primitive(work, cw)
-    cg = _gcd_packed(ca, cb, var + 1)
-    return _join_by_var({e: _dict_mul(sub, cg) for e, sub in g.items()}, var)
-
 
 def _dict_exact_div(num: dict[int, int], den: dict[int, int], var: int) -> dict[int, int]:
     """Exact division of packed integer polynomials (den divides num).
@@ -526,11 +429,55 @@ def _dict_exact_div(num: dict[int, int], den: dict[int, int], var: int) -> dict[
     return quo
 
 
-def poly_gcd(a: "SparsePoly", b: "SparsePoly") -> "SparsePoly":
-    """gcd of the primitive parts (display helper, content ignored)."""
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    g = _gcd_packed(a.prim, b.prim, 0)
-    return SparsePoly(Fraction(1), g)
+def _rem(a: list, b: list) -> list:
+    """Remainder of a by b, coefficient lists from degree 0 up, trimmed."""
+    a, db = a[:], len(b) - 1
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            c = Fraction(a[i], b[-1])
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
+    del a[db:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def poly_gcd(a: "SparsePoly", p: "SparsePoly") -> "SparsePoly":
+    """gcd of a with the binomial p, primitive and free of monomial content.
+
+    Raises ValueError unless p has exactly two terms.
+    """
+    if len(p.prim) != 2:
+        raise ValueError("poly_gcd takes a binomial second argument")
+    (k1, c1), (k2, c2) = p.prim.items()
+    diff = [x - y for x, y in zip(_unpack(k1), _unpack(k2))]
+    g = gcd(*diff)
+    d0 = [x // g for x in diff]
+    j = next(i for i, x in enumerate(d0) if x)
+    # slice a by coset of Z*d0 (its cross product with d0) at position
+    # e[j] // d0[j] along the line, reducing mod X^g = rho on the way
+    rho, powers, slices = Fraction(-c2, c1), {}, {}
+    for key, c in a.prim.items():
+        e = _unpack(key)
+        coset = (e[1] * d0[2] - e[2] * d0[1], e[2] * d0[0] - e[0] * d0[2],
+                 e[0] * d0[1] - e[1] * d0[0])
+        k, r = divmod(e[j] // d0[j], g)
+        if k not in powers:
+            pw = rho ** k
+            powers[k] = pw.numerator if pw.denominator == 1 else pw
+        slices.setdefault(coset, [0] * g)[r] += c * powers[k]
+    # univariate Euclid against c1*X^g + c2, one slice at a time
+    f = [c2] + [0] * (g - 1) + [c1]
+    for row in slices.values():
+        row = _rem(row, f)  # degree < g already: this only trims
+        while row:
+            f, row = row, _rem(f, row)
+        if len(f) == 1:
+            return SparsePoly.one()
+    # back to (u, v, w): X^i = x^(i*d0), shifted to nonnegative exponents
+    lo = [min(0, (len(f) - 1) * x) for x in d0]
+    den = lcm(*(c.denominator for c in f))
+    out = SparsePoly(Fraction(1), {_pack(*(i * x - m for x, m in zip(d0, lo))): int(c * den)
+                                   for i, c in enumerate(f) if c})
+    return out.scaled(1 / out.content)

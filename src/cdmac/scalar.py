@@ -13,9 +13,11 @@ correlation kernels): it keeps a product of binomial factors
 a true least-common denominator instead of the naive product of
 denominators.  sum_factored hands that denominator's binomial factors on
 with its result.  Scalar.canonical (the serialization boundary) has one
-reduction rule, a gcd against each known denominator factor: one binomial
-at a time for a sum_factored result, the whole denominator for a value of
-plain Scalar arithmetic (the full correlation path and the test oracles).
+reduction rule, a gcd against each binomial factor of the denominator: the
+LCD binomials of a sum_factored result, or the denominator itself of a plain
+Scalar whose denominator is a monomial times a binomial.  poly.poly_gcd
+takes binomials only, so canonical raises ValueError on any other plain
+Scalar; no route output is one.
 """
 
 from __future__ import annotations
@@ -209,10 +211,11 @@ class Scalar:
 
         Arithmetic never calls this; values compare equal to their canonical
         form by cross-multiplication.  The reduction is a gcd against each
-        known denominator factor: a sum_factored result (the output of every
+        binomial factor of den: a sum_factored result (the output of every
         route) carries its LCD's binomials, and for a plain Scalar the single
-        factor is den without its monomial part.  The reduced representative
-        is unique, so both print the same bytes.
+        factor is den without its monomial part, which must be a binomial
+        (ValueError otherwise).  The reduced representative is unique, so
+        both print the same bytes.
         """
         if self.is_zero() or self.den == _ONE_P:
             return self
@@ -269,8 +272,7 @@ def _cancel_den_factors(num: SparsePoly, den: SparsePoly, den_factors):
     denominator.  Every LCD binomial is squarefree (X^g - c after a
     unimodular change of the exponent lattice), so one copy at a time leaves
     num and den coprime.  A plain Scalar passes den without its monomial part
-    as the single factor (den', 1): the whole-denominator gcd.  Returns the
-    reduced (num, den).
+    as the single factor (den', 1).  Returns the reduced (num, den).
     """
     quo = SparsePoly(Fraction(1), num.prim, _normalized=True)
     left = SparsePoly.one().shift(den.min_exps())

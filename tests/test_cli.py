@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -128,6 +129,14 @@ def test_T_exponent_outside_packing_exits_2(capsys):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+def test_T_exponent_product_outside_packing_exits_2(capsys):
+    # every factor packs, but a product of them passes 2^20 half-powers of t
+    code, out, err = run(capsys, "compute", "--family", "C", "--n", "1", "--r", "4",
+                         "--T", "t^400000")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 def test_pole_exit_3(capsys):
     # T = q^-1 makes a lower q-shifted-factorial entry hit 1 at rank 1, row 2
     code, _, err = run(capsys, "compute", "--family", "C", "--n", "1", "--r", "2",
@@ -169,3 +178,56 @@ def test_config_file(tmp_path, capsys):
     code, out, _ = run(capsys, "compute", "--config", str(cfg))
     assert code == 0
     assert out.strip() == "x1^3 + x1^-3"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"family=\xff\n")
+    code, out, err = run(capsys, "compute", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot read --config") and "Traceback" not in err
+
+
+def test_unknown_corrupt_identity_exits_2(capsys):
+    # a misspelt negative control must not pass as a clean run
+    code, out, err = run(capsys, "verify", "--suite", "soukan", "--corrupt", "nope")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'nope'" in err
+
+
+_FUZZ_T = ["t^2/q", "symbolic", "t^3", "t^600000", "q^-1", "q^2", "1/0", "abc", "25/49",
+           "5/7", "0", "1", "-1"]
+
+
+def _fuzz_argv(rng, configs):
+    argv = ["compute"]
+    for flag, values, p in (
+            ("--family", ["C", "D"], 0.9),
+            ("--n", [str(k) for k in range(-1, 5)], 0.9),
+            ("--r", [str(k) for k in range(-1, 5)], 0.9),
+            ("--T", _FUZZ_T, 0.6),
+            ("--budget", [str(rng.randint(-1, 250))], 0.9),  # C and D (4, 4) exceed 250
+            ("--via", ["tableau", "lassalle", "walgebra"], 0.3),
+            ("--format", ["text", "json", "latex"], 0.2),
+            ("--config", configs, 0.2)):
+        if rng.random() < p:
+            argv += [flag, rng.choice(values)]
+    return argv
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cli_fuzz_exit_codes(tmp_path, capsys, seed):
+    # every input ends in the exit-code contract 0/1/2/3, never a traceback
+    valid = tmp_path / "run.cfg"
+    valid.write_text("family=D\nn=2\nr=2\n")
+    configs = [str(valid), str(tmp_path / "missing.cfg"), str(tmp_path)]
+    rng = random.Random(seed)
+    for _ in range(20):
+        argv = _fuzz_argv(rng, configs)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv

@@ -7,9 +7,13 @@ fired, and checks that a certificate which does not run the faulted code
 sees it.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from cdmac import macdonald, walgebra
+from cdmac import macdonald, oracle, poly, walgebra
+from cdmac.cli import main
+from cdmac.poly import SparsePoly
 from cdmac.walgebra import GammaTable
 
 
@@ -44,3 +48,41 @@ def test_wrong_conjugate_kernel_caught_by_residual(monkeypatch, family):
     residual = walgebra.correlation_residual(family, 2, 3)
     assert fired
     assert not residual.is_zero()  # tableau_poly builds no gamma kernel
+
+
+def _coprime_gcd(monkeypatch):
+    """Plant a fault: poly.poly_gcd answers 1 whenever the true gcd is not 1."""
+    fired = []
+    real = poly.poly_gcd
+
+    def coprime(a, p):
+        g = real(a, p)
+        if g.is_monomial():
+            return g
+        fired.append(g)
+        return SparsePoly.one()
+    monkeypatch.setattr(poly, "poly_gcd", coprime)
+    return fired
+
+
+def test_skipped_display_gcd_caught_by_prs_oracle(monkeypatch):
+    fired = _coprime_gcd(monkeypatch)
+    p = macdonald.tableau_poly("C", 2, 3, Fraction(25, 49))
+    caught = [c for c in p.terms.values()
+              if str(c.canonical()) != str(oracle.prs_lowest_terms(c))]
+    assert fired
+    assert caught  # the PRS oracle runs no poly.poly_gcd
+
+
+def test_skipped_display_gcd_against_route_byte_equality(monkeypatch, capsys):
+    # data, not a requirement: the tableau and inversion routes sum over
+    # different LCDs, so their unreduced outputs differ; the principal
+    # correlation route has the tableau route's LCD and prints the same bytes
+    fired = _coprime_gcd(monkeypatch)
+    outs = {}
+    for via in ("tableau", "lassalle", "walgebra"):
+        assert main(["compute", "--family", "D", "--n", "2", "--r", "2", "--via", via]) == 0
+        outs[via] = capsys.readouterr().out
+    assert fired
+    assert outs["tableau"] != outs["lassalle"]
+    assert outs["tableau"] == outs["walgebra"]

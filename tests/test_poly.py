@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from cdmac.errors import UsageError
+from cdmac.oracle import prs_gcd
 from cdmac.poly import Mon, SparsePoly, poly_gcd, _dict_exact_div
 
 
@@ -91,6 +92,7 @@ def test_exponent_outside_packing_rejected():
 
 
 def test_gcd_divides_both():
+    # the primitive-PRS oracle on general pairs
     rng = random.Random(11)
     for _ in range(30):
         g = rnd_poly(rng, 2, 3)
@@ -98,8 +100,74 @@ def test_gcd_divides_both():
         b = rnd_poly(rng, 3, 3) * g
         if a.is_zero() or b.is_zero():
             continue
-        d = poly_gcd(a, b)
+        d = prs_gcd(a, b)
         _dict_exact_div(a.prim, d.prim, 0)
         _dict_exact_div(b.prim, d.prim, 0)
         # the common factor g divides the gcd
         _dict_exact_div(d.prim, g.prim, 0)
+
+
+def _binomial(c, d):
+    """1 - c*x^d with the monomial content cleared, primitive."""
+    s = tuple(max(-e, 0) for e in d)
+    p = SparsePoly.from_mon(Mon(1, s)) - SparsePoly.from_mon(
+        Mon(c, tuple(a + b for a, b in zip(s, d))))
+    return SparsePoly(F(1), p.prim, _normalized=True)
+
+
+def test_binomial_gcd_matches_prs_oracle():
+    # p = 1 - c0^k x^(k*d) has the divisor 1 - c0^j x^(j*d) for every j | k,
+    # so a = divisor * random meets p in a nontrivial gcd; the coefficients
+    # c0^k run over +-1, 5/7, 25/49, 8/27, 16/81, 3/2 and 9/4
+    rng = random.Random(17)
+    bases = [(1, 1), (1, 2), (1, 3), (1, 4), (-1, 1), (-1, 3), (F(5, 7), 1), (F(5, 7), 2),
+             (F(2, 3), 3), (F(2, 3), 4), (F(3, 2), 1), (F(3, 2), 2)]
+    nontrivial = 0
+    for _ in range(240):
+        c0, k = rng.choice(bases)
+        d = (0, 0, 0)
+        while d == (0, 0, 0):
+            d = tuple(rng.randrange(-2, 3) for _ in range(3))
+        p = _binomial(c0 ** k, tuple(k * e for e in d))
+        j = rng.choice([j for j in range(1, k + 1) if k % j == 0])
+        a = rnd_poly(rng, rng.randrange(1, 4), 3)
+        if rng.random() < 0.8:
+            a = a * _binomial(c0 ** j, tuple(j * e for e in d))
+        if rng.random() < 0.3:  # one slice that the divisor may not divide
+            a = a + rnd_poly(rng, 1, 3)
+        if a.is_zero():
+            continue
+        got, want = poly_gcd(a, p), prs_gcd(a, p)
+        assert got == want or got == -want
+        assert got.leading_coeff() > 0 and got.min_exps() == (0, 0, 0)
+        nontrivial += not got.is_monomial()
+    assert nontrivial > 100
+
+
+def test_binomial_gcd_keeps_cosets_apart():
+    # v - w is X - 1 along X = v*w only if the cosets of v and w are merged
+    v, w = SparsePoly.from_mon(Mon(1, (0, 1, 0))), SparsePoly.from_mon(Mon(1, (0, 0, 1)))
+    assert poly_gcd(v - w, SparsePoly.one() - v * w) == SparsePoly.one()
+    assert poly_gcd((v - w) * (SparsePoly.one() - v * w), v * w - SparsePoly.one()) == \
+        v * w - SparsePoly.one()
+
+
+def test_binomial_gcd_rejects_other_second_arguments():
+    u, v = SparsePoly.from_mon(Mon(1, (1, 0, 0))), SparsePoly.from_mon(Mon(1, (0, 1, 0)))
+    with pytest.raises(ValueError):
+        poly_gcd(u + v, u + v + SparsePoly.one())
+    with pytest.raises(ValueError):
+        poly_gcd(u + v, u)
+
+
+def test_product_exponent_carry_rejected():
+    # (t^{1/2})^(2^20 - 1) * t^{1/2} used to come out as q^{1/2}
+    top = SparsePoly.from_mon(Mon(1, (0, (1 << 20) - 1, 0)))
+    with pytest.raises(UsageError):
+        top * SparsePoly.from_mon(Mon(1, (0, 1, 0)))
+    for e in [(1, 0, 0), (0, 0, 1), (1, 1, 1)]:
+        d = SparsePoly.from_mon(Mon(1, tuple((1 << 20) - 1 if x else 0 for x in e)))
+        with pytest.raises(UsageError):
+            (d + SparsePoly.one()) * d
+    half = SparsePoly.from_mon(Mon(1, ((1 << 19) - 1, (1 << 19) - 1, 5)))
+    assert (half * half).monomial().exp == ((1 << 20) - 2, (1 << 20) - 2, 10)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cdmac import macdonald, poly, walgebra
+from cdmac import macdonald, oracle, poly, walgebra
 from cdmac.cli import main
 from cdmac.poly import Mon, SparsePoly
 from cdmac.errors import PoleError
@@ -193,9 +193,8 @@ def test_binomial_gcd_non_unit_coefficients():
 
 
 def _prs_oracle(c: Scalar) -> str:
-    # a plain Scalar carries no denominator factors, so canonical() runs the
-    # primitive-PRS gcd against the whole denominator
-    return str(Scalar(c.num, c.den).canonical())
+    # lowest terms through the primitive-PRS gcd against the whole denominator
+    return str(oracle.prs_lowest_terms(c))
 
 
 _T_VALUES = {"t^2/q": macdonald.T_SPECIAL, "symbolic": Mon.T(), "t^3": Mon.t(3),
