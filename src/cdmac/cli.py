@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ def _parse_T(text: str):
                          "t^K, q^K or a rational like 5/7") from None
 
 
-def _compute(args) -> int:
+def _compute(args) -> tuple[int, str]:
     family = args.family
     T = _parse_T(args.T) if args.T is not None else None
     macdonald._family_T(family, T)  # the family/T rule holds on every route
@@ -57,8 +58,7 @@ def _compute(args) -> int:
     else:
         raise UsageError(f"unknown route {args.via!r}")
     # reduce for display so equal values print identically on every route
-    print(_format_poly(p.canonical(), args))
-    return EXIT_OK
+    return EXIT_OK, _format_poly(p.canonical(), args)
 
 
 def _format_poly(p: LaurentPoly, args) -> str:
@@ -73,8 +73,11 @@ def _format_poly(p: LaurentPoly, args) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _verify(args) -> int:
+def _verify(args) -> tuple[int, str]:
     suites = verify.SUITES[:-1] if args.suite == "all" else (args.suite,)
+    if args.corrupt and all(args.corrupt not in verify.SUITE_IDENTITIES.get(name, ())
+                            for name in suites):
+        raise UsageError(f"--suite {args.suite} runs no identity {args.corrupt!r} to corrupt")
     reports = []
     ok = True
     for name in suites:
@@ -84,17 +87,16 @@ def _verify(args) -> int:
         reports.append(rep.to_json())
         ok = ok and rep.passed
     doc = {"schema": 1, "passed": ok, "suites": reports}
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return (EXIT_OK if ok else EXIT_VERIFY_FAILED,
+            json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _tableaux(args) -> int:
+def _tableaux(args) -> tuple[int, str]:
     alpha = Alphabet(args.family, args.n)
     rows = [list(t.theta) for t in enumerate_tableaux(alpha, args.r)]
     doc = {"schema": 1, "family": args.family, "n": args.n, "r": args.r,
            "letters": alpha.letter_names(), "count": len(rows), "tableaux": rows}
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    return EXIT_OK
+    return EXIT_OK, json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -161,11 +163,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
+    code = EXIT_OK
     try:
         args = parser.parse_args(_apply_config(argv))
         if getattr(args, "n", 1) < 1 or getattr(args, "r", 0) < 0:
             raise UsageError("need n >= 1 and r >= 0")
-        return args.fn(args)
+        code, text = args.fn(args)
+        print(text, flush=True)
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: keep the exit code already decided,
+        # and let the interpreter's final flush go to os.devnull
+        sys.stdout = open(os.devnull, "w")
+        return code
     except SystemExit as exc:  # argparse reports its own usage errors
         return int(exc.code or 0)
     except UsageError as exc:

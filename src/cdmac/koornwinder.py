@@ -16,9 +16,11 @@ failure raises NonLaurentResultError.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .errors import UsageError
 from .laurent import LaurentPoly, divide_exact
+from .poly import SparsePoly
 from .scalar import Scalar, field_sqrt
 
 
@@ -99,25 +101,21 @@ def _clear_denominators(p: LaurentPoly):
 
     Scalar addition never gcd-reduces, so letting fractions meet inside the
     big operator products compounds denominators; the operator commutes with
-    the x-independent factor D, so it is cleared up front instead.
+    the x-independent factor D, so it is cleared up front instead.  D is the
+    product of the distinct denominators; each cofactor D / den is the
+    product of the others.
     """
-    from .poly import SparsePoly
-    from .scalar import _exact_poly_div
-
-    dens: dict[tuple, SparsePoly] = {}
-    for c in p.terms.values():
-        if isinstance(c, Scalar) and not c.den.is_monomial():
-            dens.setdefault(tuple(sorted(c.den.prim.items())), c.den)
+    # a Scalar's den is primitive with content 1, so each one is its own key
+    dens = list(dict.fromkeys(c.den for c in p.terms.values()
+                              if isinstance(c, Scalar) and not c.den.is_monomial()))
     if not dens:
         return None, p
-    D = SparsePoly.one()
-    for den in dens.values():
-        D = D * SparsePoly(Fraction(1), den.prim, _normalized=True)
+    cofs = {d: prod((o for o in dens if o != d), start=SparsePoly.one()) for d in dens}
+    D = prod(dens, start=SparsePoly.one())
     out = {}
     for e, c in p.terms.items():
         if isinstance(c, Scalar) and not c.den.is_monomial():
-            cof = _exact_poly_div(D, SparsePoly(Fraction(1), c.den.prim, _normalized=True))
-            out[e] = Scalar(c.num * cof.scaled(1 / c.den.content))
+            out[e] = Scalar(c.num * cofs[c.den])
         else:
             out[e] = c * Scalar(D)
     return Scalar(D), LaurentPoly(p.rank, out)

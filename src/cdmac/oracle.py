@@ -14,13 +14,18 @@ this module and the package does not export it.
     enumeration, against the one-row tableaux that the 'tableau' path of
     walgebra.phi_principal enumerates
     (tests/test_walgebra.py::test_surviving_support_is_tableaux).
+  * _dict_exact_div, _exact_poly_div -- the general exact division over
+    Z[u, v, w], peeling the grlex-leading term of the remainder, against the
+    lattice-line division poly.line_div
+    (tests/test_poly.py::test_line_div_matches_grlex_oracle); prs_gcd and
+    prs_lowest_terms divide with it.
   * prs_gcd -- the recursive primitive-PRS gcd over Z[u, v, w] (Brown,
     J. ACM 18 (1971)), against the lattice-line gcd poly.poly_gcd
     (tests/test_poly.py::test_binomial_gcd_matches_prs_oracle).
   * prs_lowest_terms -- a Scalar in lowest terms through prs_gcd against its
-    whole denominator, against Scalar.canonical, which takes poly.poly_gcd
-    against one binomial at a time (tests/test_scalar.py,
-    tests/test_independence.py).
+    whole denominator and _exact_poly_div, against Scalar.canonical, which
+    takes poly.poly_gcd against one binomial at a time and divides by
+    poly.line_div (tests/test_scalar.py, tests/test_independence.py).
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from math import gcd
 
 from .koornwinder import KoornwinderParams
 from .laurent import LaurentPoly
-from .poly import _MASK, _SHIFT_U, _SHIFT_V, SparsePoly, _dict_exact_div
-from .scalar import Scalar, _exact_poly_div, field_sqrt
+from .poly import _MASK, _SHIFT_U, _SHIFT_V, SparsePoly, _grlex, _unpack
+from .scalar import Scalar, field_sqrt
 from .walgebra import GammaTable, _kernel_product, _letter_tuples, _principal_spec
 
 
@@ -106,6 +111,48 @@ def surviving_tuples(family: str, l: int, r: int, budget: int = 50000) -> set:
     table = GammaTable(family, l, spec.q, spec.t)
     return {eps for eps in _letter_tuples(l, r, budget)
             if _kernel_product(table, eps, spec.z)}
+
+
+# ---------------------------------------------------------------------------
+# grlex exact division over Z[u, v, w], in packed form
+# ---------------------------------------------------------------------------
+
+def _dict_exact_div(num: dict[int, int], den: dict[int, int], var: int) -> dict[int, int]:
+    """Exact division of packed integer polynomials (den divides num).
+
+    Raises ArithmeticError when den does not divide num, so it doubles as a
+    divisibility test.
+    """
+    if not num:
+        return {}
+    if den == {0: 1}:
+        return dict(num)
+    rem = dict(num)
+    quo: dict[int, int] = {}
+    dl = max(den, key=_grlex)
+    dc = den[dl]
+    while rem:
+        rl = max(rem, key=_grlex)
+        qk = rl - dl
+        eu, ev, ew = _unpack(rl)
+        du, dv, dw = _unpack(dl)
+        if eu < du or ev < dv or ew < dw or rem[rl] % dc:
+            raise ArithmeticError("not an exact divisor")
+        qc = rem[rl] // dc
+        quo[qk] = qc
+        for k, c in den.items():
+            kk = k + qk
+            s = rem.get(kk, 0) - qc * c
+            if s:
+                rem[kk] = s
+            else:
+                rem.pop(kk, None)
+    return quo
+
+
+def _exact_poly_div(num: SparsePoly, den: SparsePoly) -> SparsePoly:
+    q = _dict_exact_div(num.prim, den.prim, 0)
+    return SparsePoly(num.content / den.content, q)
 
 
 # ---------------------------------------------------------------------------

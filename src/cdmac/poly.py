@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import or_
 
@@ -383,7 +384,7 @@ class Mon:
 
 
 # ---------------------------------------------------------------------------
-# display-only gcd
+# display-only gcd and division along a binomial's lattice line
 #
 # Scalar arithmetic never reduces by polynomial gcd (equality is decided by
 # cross-multiplication).  Serialization, however, wants one canonical
@@ -392,41 +393,25 @@ class Mon:
 # gcd against each binomial factor of the denominator.  A binomial is a
 # monomial times c1*X^g + c2, X = x^d0 for a primitive lattice direction d0;
 # Q[Z^3] is free over Q[X, 1/X] on the cosets of Z*d0, so its gcd with a is
-# univariate, against every coset slice of a (the test oracle is
-# oracle.prs_gcd, a multivariate primitive-PRS gcd).
+# univariate, against every coset slice of a, and so is the division by it
+# (the test oracles are a PRS gcd and a grlex division in cdmac.oracle).
 # ---------------------------------------------------------------------------
 
-def _dict_exact_div(num: dict[int, int], den: dict[int, int], var: int) -> dict[int, int]:
-    """Exact division of packed integer polynomials (den divides num).
-
-    Raises ArithmeticError when den does not divide num, so it doubles as a
-    divisibility test.
-    """
-    if not num:
-        return {}
-    if den == {0: 1}:
-        return dict(num)
-    rem = dict(num)
-    quo: dict[int, int] = {}
-    dl = max(den, key=_grlex)
-    dc = den[dl]
-    while rem:
-        rl = max(rem, key=_grlex)
-        qk = rl - dl
-        eu, ev, ew = _unpack(rl)
-        du, dv, dw = _unpack(dl)
-        if eu < du or ev < dv or ew < dw or rem[rl] % dc:
-            raise ArithmeticError("not an exact divisor")
-        qc = rem[rl] // dc
-        quo[qk] = qc
-        for k, c in den.items():
-            kk = k + qk
-            s = rem.get(kk, 0) - qc * c
-            if s:
-                rem[kk] = s
-            else:
-                rem.pop(kk, None)
-    return quo
+def _slices(prim: dict[int, int], k1: int, k2: int):
+    """(g, d0, {coset: {position: key}}) for k1 - k2 = g*d0, d0 primitive: the
+    coset of Z*d0 is the cross product with d0, and exponents of one coset
+    differ by d0 times the difference of their positions e[j] // d0[j]."""
+    diff = [x - y for x, y in zip(_unpack(k1), _unpack(k2))]
+    g = gcd(*diff)
+    d0 = [x // g for x in diff]
+    j = next(i for i, x in enumerate(d0) if x)
+    out: dict[tuple, dict[int, int]] = {}
+    for key in prim:
+        e = _unpack(key)
+        coset = (e[1] * d0[2] - e[2] * d0[1], e[2] * d0[0] - e[0] * d0[2],
+                 e[0] * d0[1] - e[1] * d0[0])
+        out.setdefault(coset, {})[e[j] // d0[j]] = key
+    return g, d0, out
 
 
 def _rem(a: list, b: list) -> list:
@@ -451,25 +436,19 @@ def poly_gcd(a: "SparsePoly", p: "SparsePoly") -> "SparsePoly":
     if len(p.prim) != 2:
         raise ValueError("poly_gcd takes a binomial second argument")
     (k1, c1), (k2, c2) = p.prim.items()
-    diff = [x - y for x, y in zip(_unpack(k1), _unpack(k2))]
-    g = gcd(*diff)
-    d0 = [x // g for x in diff]
-    j = next(i for i, x in enumerate(d0) if x)
-    # slice a by coset of Z*d0 (its cross product with d0) at position
-    # e[j] // d0[j] along the line, reducing mod X^g = rho on the way
-    rho, powers, slices = Fraction(-c2, c1), {}, {}
-    for key, c in a.prim.items():
-        e = _unpack(key)
-        coset = (e[1] * d0[2] - e[2] * d0[1], e[2] * d0[0] - e[0] * d0[2],
-                 e[0] * d0[1] - e[1] * d0[0])
-        k, r = divmod(e[j] // d0[j], g)
-        if k not in powers:
-            pw = rho ** k
-            powers[k] = pw.numerator if pw.denominator == 1 else pw
-        slices.setdefault(coset, [0] * g)[r] += c * powers[k]
-    # univariate Euclid against c1*X^g + c2, one slice at a time
+    g, d0, slices = _slices(a.prim, k1, k2)
+    # univariate Euclid against c1*X^g + c2, one slice of a at a time, each
+    # reduced mod X^g = rho first
+    rho, powers = Fraction(-c2, c1), {}
     f = [c2] + [0] * (g - 1) + [c1]
-    for row in slices.values():
+    for sl in slices.values():
+        row = [0] * g
+        for pos, key in sl.items():
+            k, r = divmod(pos, g)
+            if k not in powers:
+                pw = rho ** k
+                powers[k] = pw.numerator if pw.denominator == 1 else pw
+            row[r] += a.prim[key] * powers[k]
         row = _rem(row, f)  # degree < g already: this only trims
         while row:
             f, row = row, _rem(f, row)
@@ -481,3 +460,40 @@ def poly_gcd(a: "SparsePoly", p: "SparsePoly") -> "SparsePoly":
     out = SparsePoly(Fraction(1), {_pack(*(i * x - m for x, m in zip(d0, lo))): int(c * den)
                                    for i, c in enumerate(f) if c})
     return out.scaled(1 / out.content)
+
+
+def line_div(a: "SparsePoly", h: "SparsePoly") -> "SparsePoly":
+    """The exact quotient a / h, for h = 1 or h with two or more terms on one
+    lattice line (a binomial, or a gcd that poly_gcd returned): each coset
+    slice of a is divided as a polynomial in X = x^d0, peeled sparsely from
+    its lowest position.  Raises ArithmeticError when h does not divide a,
+    and ValueError when h's terms leave one line."""
+    if h.prim == {0: 1}:
+        return a.scaled(1 / h.content)
+    k1, k2, *_ = h.prim
+    _, d0, hs = _slices(h.prim, k1, k2)
+    (hrow,) = hs.values()
+    lo = min(hrow)
+    h0, elo, span = h.prim[hrow[lo]], _unpack(hrow[lo]), max(hrow) - lo
+    rest = [(pos - lo, h.prim[key]) for pos, key in hrow.items() if pos != lo]
+    quo: dict[int, int] = {}
+    for sl in _slices(a.prim, k1, k2)[2].values():
+        top, (pos0, key0) = max(sl), next(iter(sl.items()))
+        rem = {pos: a.prim[key] for pos, key in sl.items()}
+        heap = sorted(rem)  # a sorted list is a heap
+        while heap:
+            pos = heappop(heap)
+            c = rem.pop(pos)
+            if not c:
+                continue
+            qe = [x + (pos - pos0) * d - y for x, d, y in zip(_unpack(key0), d0, elo)]
+            if pos + span > top or c % h0 or min(qe) < 0:
+                raise ArithmeticError("not an exact divisor")
+            quo[_pack(*qe)] = qc = c // h0
+            for off, hc in rest:
+                if pos + off not in rem:
+                    heappush(heap, pos + off)
+                rem[pos + off] = rem.get(pos + off, 0) - qc * hc
+    # a primitive quotient of primitive polynomials (Gauss), with a positive
+    # leading coefficient since the two leading terms multiply
+    return SparsePoly(a.content / h.content, quo, _normalized=True)

@@ -13,11 +13,11 @@ correlation kernels): it keeps a product of binomial factors
 a true least-common denominator instead of the naive product of
 denominators.  sum_factored hands that denominator's binomial factors on
 with its result.  Scalar.canonical (the serialization boundary) has one
-reduction rule, a gcd against each binomial factor of the denominator: the
-LCD binomials of a sum_factored result, or the denominator itself of a plain
-Scalar whose denominator is a monomial times a binomial.  poly.poly_gcd
-takes binomials only, so canonical raises ValueError on any other plain
-Scalar; no route output is one.
+reduction rule, a gcd against each binomial factor of the denominator,
+divided out along the binomial's lattice line: the LCD binomials of a
+sum_factored result, or the denominator itself of a plain Scalar whose
+denominator is a monomial times a binomial.  poly.poly_gcd takes binomials
+only, so canonical raises ValueError on any other plain Scalar.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import isqrt
 
 from . import poly
 from .errors import PoleError
-from .poly import Mon, SparsePoly, _dict_exact_div
+from .poly import Mon, SparsePoly
 
 _ZERO_P = SparsePoly.zero()
 _ONE_P = SparsePoly.one()
@@ -211,11 +211,11 @@ class Scalar:
 
         Arithmetic never calls this; values compare equal to their canonical
         form by cross-multiplication.  The reduction is a gcd against each
-        binomial factor of den: a sum_factored result (the output of every
-        route) carries its LCD's binomials, and for a plain Scalar the single
-        factor is den without its monomial part, which must be a binomial
-        (ValueError otherwise).  The reduced representative is unique, so
-        both print the same bytes.
+        binomial factor of den, divided out along its lattice line: a
+        sum_factored result (every route's output) carries its LCD's
+        binomials, and for a plain Scalar the single factor is den without
+        its monomial part, which must be a binomial (ValueError otherwise).
+        The reduced representative is unique, so both print the same bytes.
         """
         if self.is_zero() or self.den == _ONE_P:
             return self
@@ -248,11 +248,6 @@ class Scalar:
         return cls(SparsePoly.parse(text))
 
 
-def _exact_poly_div(num: SparsePoly, den: SparsePoly) -> SparsePoly:
-    q = _dict_exact_div(num.prim, den.prim, 0)
-    return SparsePoly(num.content / den.content, q)
-
-
 class _FactoredDenScalar(Scalar):
     """A sum_factored result with its denominator's factorization attached.
 
@@ -271,7 +266,8 @@ def _cancel_den_factors(num: SparsePoly, den: SparsePoly, den_factors):
     copy of p cancels gcd(num, p) from num and leaves p / gcd in the
     denominator.  Every LCD binomial is squarefree (X^g - c after a
     unimodular change of the exponent lattice), so one copy at a time leaves
-    num and den coprime.  A plain Scalar passes den without its monomial part
+    num and den coprime.  The gcd lies on p's lattice line, and poly.line_div
+    divides along it.  A plain Scalar passes den without its monomial part
     as the single factor (den', 1).  Returns the reduced (num, den).
     """
     quo = SparsePoly(Fraction(1), num.prim, _normalized=True)
@@ -283,8 +279,8 @@ def _cancel_den_factors(num: SparsePoly, den: SparsePoly, den_factors):
         for _ in range(need):
             if not g.is_monomial():  # once coprime, later copies stay coprime
                 g = poly.poly_gcd(quo, p)  # looked up per call, so a wrapper is seen
-                quo = _exact_poly_div(quo, g)
-            left = left * _exact_poly_div(p, g)
+                quo = poly.line_div(quo, g)
+            left = left * poly.line_div(p, g)
     return quo.scaled(num.content), left
 
 

@@ -161,18 +161,13 @@ def _corrupted_residual(inst: TransformInstance):
 # suites
 # ---------------------------------------------------------------------------
 
-def _suite_classical(seed, samples, corrupt=None):
-    out = []
-    for ident in ("watson", "saalschutz", "sears_III15", "sears_III16",
-                  "sears_2_10_4", "sum_6phi5", "ns_lemma"):
-        out.extend(run_identity_instances(ident, seed, samples,
-                                          corrupt=(corrupt == ident)))
-    return out
-
-
-def _suite_thm22(seed, samples, corrupt=None):
-    return run_identity_instances("thm_2_2", seed, samples,
-                                  corrupt=(corrupt == "thm_2_2"))
+# the sampled identities of each suite that has any; a --corrupt identity
+# must be one of the chosen suites' own, or its negative control cannot fail
+SUITE_IDENTITIES = {
+    "classical": ("watson", "saalschutz", "sears_III15", "sears_III16",
+                  "sears_2_10_4", "sum_6phi5", "ns_lemma"),
+    "thm22": ("thm_2_2",),
+}
 
 
 def _sample_qt(seed: int, count: int = 3) -> list[tuple[Fraction, Fraction]]:
@@ -342,10 +337,11 @@ def run_suite(name: str, seed: int = 0, samples: int = 25, n_max: int = 3,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     report = SuiteReport(name, seed)
-    if name in ("classical", "all"):
-        report.results.extend(_suite_classical(seed, samples, corrupt))
-    if name in ("thm22", "all"):
-        report.results.extend(_suite_thm22(seed, samples, corrupt))
+    for suite, idents in SUITE_IDENTITIES.items():
+        if name in (suite, "all"):
+            for ident in idents:
+                report.results.extend(run_identity_instances(
+                    ident, seed, samples, corrupt=(corrupt == ident)))
     if name in ("transformII", "all"):
         report.results.extend(_suite_transform("II", seed, n_max=min(n_max, 3)))
     if name in ("transformIII", "all"):

@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -192,6 +195,14 @@ def test_unreadable_config_exits_2(tmp_path, capsys, kind):
     assert err.startswith("usage error: cannot read --config") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["soukan", "thm22"])
+def test_corrupt_identity_outside_the_suite_exits_2(capsys, suite):
+    # a negative control that the chosen suite never runs cannot fail
+    code, out, err = run(capsys, "verify", "--suite", suite, "--corrupt", "watson")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 def test_unknown_corrupt_identity_exits_2(capsys):
     # a misspelt negative control must not pass as a clean run
     code, out, err = run(capsys, "verify", "--suite", "soukan", "--corrupt", "nope")
@@ -231,3 +242,24 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys, seed):
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err, argv
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away, as under `cdmac ... | head -c 150`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["compute", "--family", "D", "--n", "2", "--r", "2"], 0),
+    (["verify", "--suite", "soukan", "--n", "2", "--r", "2"], 0),
+    (["verify", "--suite", "classical", "--samples", "3", "--corrupt", "watson"], 1),
+    (["tableaux", "--family", "C", "--n", "2", "--r", "2"], 0),
+])
+def test_closed_stdout_keeps_the_exit_code(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == code
+    assert sys.stdout.name == os.devnull  # so the interpreter's last flush succeeds
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""

@@ -86,3 +86,53 @@ def test_skipped_display_gcd_against_route_byte_equality(monkeypatch, capsys):
     assert fired
     assert outs["tableau"] != outs["lassalle"]
     assert outs["tableau"] == outs["walgebra"]
+
+
+def _dropped_quotient_term(monkeypatch):
+    """Plant a fault: poly.line_div drops the top quotient term of one slice
+    whenever that slice has more than one, and raises nothing.
+
+    canonical divides only where the division is exact, so the real
+    division's exactness check never fires there either.  The slice and the
+    line's orientation are picked in sorted order, so the fault depends on
+    the values only, not on the order of a route's terms.
+    """
+    fired = []
+    real = poly.line_div
+
+    def dropping(a, h):
+        q = real(a, h)
+        if len(h.prim) < 2:
+            return q
+        keys = sorted(h.prim)
+        for _, sl in sorted(poly._slices(q.prim, keys[0], keys[-1])[2].items()):
+            if len(sl) > 1:
+                fired.append(sl[max(sl)])
+                return SparsePoly(q.content, {k: c for k, c in q.prim.items() if k != fired[-1]})
+        return q
+    monkeypatch.setattr(poly, "line_div", dropping)
+    return fired
+
+
+def test_dropped_quotient_term_caught_by_prs_oracle(monkeypatch):
+    fired = _dropped_quotient_term(monkeypatch)
+    p = macdonald.tableau_poly("C", 2, 3, Fraction(25, 49))
+    caught = [c for c in p.terms.values()
+              if str(c.canonical()) != str(oracle.prs_lowest_terms(c))]
+    assert fired
+    assert caught  # the PRS oracle divides with its own grlex division
+
+
+def test_dropped_quotient_term_against_route_byte_equality(monkeypatch, capsys):
+    # data, not a requirement: as with the skipped gcd, the tableau and
+    # inversion routes reach the faulted division with different numerators
+    # and LCDs; the principal correlation route reaches it with the tableau
+    # route's values and prints the same wrong bytes
+    fired = _dropped_quotient_term(monkeypatch)
+    outs = {}
+    for via in ("tableau", "lassalle", "walgebra"):
+        assert main(["compute", "--family", "D", "--n", "2", "--r", "2", "--via", via]) == 0
+        outs[via] = capsys.readouterr().out
+    assert fired
+    assert outs["tableau"] != outs["lassalle"]
+    assert outs["tableau"] == outs["walgebra"]

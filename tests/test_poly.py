@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from cdmac.errors import UsageError
-from cdmac.oracle import prs_gcd
-from cdmac.poly import Mon, SparsePoly, poly_gcd, _dict_exact_div
+from cdmac.oracle import _dict_exact_div, _exact_poly_div, prs_gcd
+from cdmac.poly import Mon, SparsePoly, line_div, poly_gcd
 
 
 def rnd_poly(rng, nterms=4, deg=5):
@@ -115,19 +115,27 @@ def _binomial(c, d):
     return SparsePoly(F(1), p.prim, _normalized=True)
 
 
+# p = 1 - c0^k x^(k*d) has the divisor 1 - c0^j x^(j*d) for every j | k; the
+# coefficients c0^k run over +-1, 5/7, 25/49, 8/27, 16/81, 3/2 and 9/4
+_BASES = [(1, 1), (1, 2), (1, 3), (1, 4), (-1, 1), (-1, 3), (F(5, 7), 1), (F(5, 7), 2),
+          (F(2, 3), 3), (F(2, 3), 4), (F(3, 2), 1), (F(3, 2), 2)]
+
+
+def _random_line(rng):
+    """(c0, k, d): the binomial 1 - c0^k x^(k*d), d a direction in [-2, 2]^3."""
+    c0, k = rng.choice(_BASES)
+    d = (0, 0, 0)
+    while d == (0, 0, 0):
+        d = tuple(rng.randrange(-2, 3) for _ in range(3))
+    return c0, k, d
+
+
 def test_binomial_gcd_matches_prs_oracle():
-    # p = 1 - c0^k x^(k*d) has the divisor 1 - c0^j x^(j*d) for every j | k,
-    # so a = divisor * random meets p in a nontrivial gcd; the coefficients
-    # c0^k run over +-1, 5/7, 25/49, 8/27, 16/81, 3/2 and 9/4
+    # a = divisor * random meets p in a nontrivial gcd
     rng = random.Random(17)
-    bases = [(1, 1), (1, 2), (1, 3), (1, 4), (-1, 1), (-1, 3), (F(5, 7), 1), (F(5, 7), 2),
-             (F(2, 3), 3), (F(2, 3), 4), (F(3, 2), 1), (F(3, 2), 2)]
     nontrivial = 0
     for _ in range(240):
-        c0, k = rng.choice(bases)
-        d = (0, 0, 0)
-        while d == (0, 0, 0):
-            d = tuple(rng.randrange(-2, 3) for _ in range(3))
+        c0, k, d = _random_line(rng)
         p = _binomial(c0 ** k, tuple(k * e for e in d))
         j = rng.choice([j for j in range(1, k + 1) if k % j == 0])
         a = rnd_poly(rng, rng.randrange(1, 4), 3)
@@ -142,6 +150,32 @@ def test_binomial_gcd_matches_prs_oracle():
         assert got.leading_coeff() > 0 and got.min_exps() == (0, 0, 0)
         nontrivial += not got.is_monomial()
     assert nontrivial > 100
+
+
+def test_line_div_matches_grlex_oracle():
+    # h divides a binomial p: a binomial 1 - c0^j x^(j*d) with j | k, or its
+    # cofactor in p, which has k/j terms on the same line
+    rng = random.Random(23)
+    for _ in range(240):
+        c0, k, d = _random_line(rng)
+        j = rng.choice([j for j in range(1, k + 1) if k % j == 0])
+        h = _binomial(c0 ** j, tuple(j * e for e in d))
+        if j < k and rng.random() < 0.5:
+            h = _exact_poly_div(_binomial(c0 ** k, tuple(k * e for e in d)), h)
+        a = h * rnd_poly(rng, rng.randrange(1, 5), 4).scaled(F(3, 5))
+        assert line_div(a, h) == _exact_poly_div(a, h)
+        stray = a + rnd_poly(rng, 1, 4)  # no monomial is a multiple of h
+        with pytest.raises(ArithmeticError):
+            line_div(stray, h)
+        # h times a monomial divides a only if the quotient needs no
+        # negative exponent
+        r = SparsePoly.one() + rnd_poly(rng, 2, 4).shift((0, 1, 0))
+        with pytest.raises(ArithmeticError):
+            line_div(h * r, h.shift((0, 1, 0)))
+    assert line_div(h * r, SparsePoly.const(F(2, 3))) == (h * r).scaled(F(3, 2))
+    u, v = SparsePoly.from_mon(Mon(1, (1, 0, 0))), SparsePoly.from_mon(Mon(1, (0, 1, 0)))
+    with pytest.raises(ValueError):  # terms on no single line
+        line_div(u * v, u + v + SparsePoly.one())
 
 
 def test_binomial_gcd_keeps_cosets_apart():
