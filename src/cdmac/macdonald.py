@@ -231,20 +231,29 @@ def _expand_coeff(i: int, n: int, r: int, Tm: Mon) -> Scalar:
     return fs.to_scalar()
 
 
+def _invert_block(n: int, r: int, i: int, Tm: Mon) -> FactoredScalar:
+    """pref * c_i * (1 - t^n q^(r-2i)) / (1 - t^n q^(r-i)): the part of an
+    inversion term that does not depend on the composition."""
+    fs = _prefactor(FactoredScalar(), r)
+    fs.times_mon(Mon.t() ** i)
+    fs.times_poch(Tm / Mon.t(), i)
+    fs.times_poch(_tq(n, r - i), i)
+    fs.div_poch(Mon.q(), i)
+    fs.div_poch(Tm * _tq(n - 1, r - i), i)
+    fs.times_poch(_tq(n, r - 2 * i), 1)  # (1 - t^n q^(r-2i))
+    fs.div_poch(_tq(n, r - i), 1)        # (1 - t^n q^(r-i))
+    return fs
+
+
 def _invert_terms(n: int, r: int, Tm: Mon):
     """(weight, coefficient) of pref * c_i * G_(r-2i) per composition and i,
-    c_i the coefficient of G_(r-2i) in the inverse expansion."""
+    c_i the coefficient of G_(r-2i) in the inverse expansion.  The
+    composition-free block of each i is built once and merged into every
+    G_(r-2i) term."""
     for i in range(r // 2 + 1):
+        block = _invert_block(n, r, i, Tm)
         for w, fs in _g_terms(n, r - 2 * i):
-            _prefactor(fs, r)
-            fs.times_mon(Mon.t() ** i)
-            fs.times_poch(Tm / Mon.t(), i)
-            fs.times_poch(_tq(n, r - i), i)
-            fs.div_poch(Mon.q(), i)
-            fs.div_poch(Tm * _tq(n - 1, r - i), i)
-            fs.times_poch(_tq(n, r - 2 * i), 1)  # (1 - t^n q^(r-2i))
-            fs.div_poch(_tq(n, r - i), 1)        # (1 - t^n q^(r-i))
-            yield w, fs
+            yield w, fs.times(block)
 
 
 def lassalle_invert(family: str, n: int, r: int, T=None) -> LaurentPoly:

@@ -26,6 +26,10 @@ this module and the package does not export it.
     whole denominator and _exact_poly_div, against Scalar.canonical, which
     takes poly.poly_gcd against one binomial at a time and divides by
     poly.line_div (tests/test_scalar.py, tests/test_independence.py).
+  * cross_multiplied_eq -- equality of two Scalars by cross-multiplying
+    their expanded denominators, with no use of den_factors, against the
+    factored Scalar.__eq__ of two sum_factored results
+    (tests/test_factored_eq.py, tests/test_independence.py).
 """
 
 from __future__ import annotations
@@ -278,3 +282,8 @@ def prs_lowest_terms(c: Scalar) -> Scalar:
     """c in lowest terms, by prs_gcd against its whole denominator."""
     g = prs_gcd(c.num, c.den.shift(tuple(-e for e in c.den.min_exps())))
     return Scalar(_exact_poly_div(c.num, g), _exact_poly_div(c.den, g))
+
+
+def cross_multiplied_eq(a: Scalar, b: Scalar) -> bool:
+    """a == b as a.num * b.den == b.num * a.den, whatever a and b carry."""
+    return a.num * b.den == b.num * a.den

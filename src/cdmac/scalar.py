@@ -4,7 +4,12 @@ A Scalar is a fraction of two SparsePoly values.  Normalization removes the
 monomial content common to numerator and denominator and the shared rational
 content, and fixes the sign so the denominator's leading coefficient (in the
 graded-lex order) is positive.  Arithmetic never computes a multivariate gcd:
-equality is decided by cross-multiplication.
+equality is decided by cross-multiplication.  When both sides are
+sum_factored results, whose denominators are a monomial times known
+binomial powers, each numerator is multiplied only by the binomial copies
+the other denominator has beyond its own, since the shared ones cancel
+(Q[u, v, w] is an integral domain); any other pair is cross-multiplied in
+full.
 
 FactoredScalar is the workhorse for building the big sums of all three
 routes (tableau terms, inversion terms and principally specialized
@@ -169,7 +174,10 @@ class Scalar:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        # cross-multiplication, never a canonical-form comparison
+        # cross-multiplication, never a canonical-form comparison; two
+        # sum_factored results cancel their shared binomial copies first
+        if isinstance(self, _FactoredDenScalar) and isinstance(o, _FactoredDenScalar):
+            return _factored_eq(self, o)
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
@@ -257,6 +265,44 @@ class _FactoredDenScalar(Scalar):
     """
 
     __slots__ = ("den_factors",)
+
+    def den_unit(self) -> tuple[Fraction, tuple[int, int, int]]:
+        """(c, m) with den == c * x^m * prod p**need over den_factors.
+
+        Every p is primitive with a positive leading coefficient and has no
+        monomial factor (_binomial_parts), so c is den's content and x^m its
+        monomial content.
+        """
+        return self.den.content, self.den.min_exps()
+
+
+def _factored_eq(a: _FactoredDenScalar, b: _FactoredDenScalar) -> bool:
+    """a == b by cross-multiplication with the shared prod p**min(need)
+    cancelled: each numerator takes the other side's monomial part and
+    content, and only the binomial copies the other side has beyond its own.
+    Binomials are matched by their primitive prim items, as in
+    FactoredScalar."""
+    lhs, rhs = a.num, b.num
+    mine = {tuple(sorted(p.prim.items())): (p, need) for p, need in a.den_factors}
+    for p, need in b.den_factors:
+        extra = need - mine.pop(tuple(sorted(p.prim.items())), (p, 0))[1]
+        for _ in range(extra):
+            lhs = lhs * p
+        for _ in range(-extra):
+            rhs = rhs * p
+    for p, need in mine.values():
+        for _ in range(need):
+            rhs = rhs * p
+    ca, ma = a.den_unit()
+    cb, mb = b.den_unit()
+    low = tuple(map(min, ma, mb))
+    return _times_unit(lhs, cb, mb, low) == _times_unit(rhs, ca, ma, low)
+
+
+def _times_unit(p: SparsePoly, c: Fraction, m, low) -> SparsePoly:
+    """p * c * x^(m - low), without a shift by x^0."""
+    d = tuple(a - b for a, b in zip(m, low))
+    return p.scaled(c).shift(d) if any(d) else p.scaled(c)
 
 
 def _cancel_den_factors(num: SparsePoly, den: SparsePoly, den_factors):
@@ -386,6 +432,20 @@ class FactoredScalar:
         else:
             for j in range(1, -k + 1):
                 self._factor(z / q ** j, +1)
+        return self
+
+    def times(self, other: "FactoredScalar") -> "FactoredScalar":
+        """Multiply in place by another factored product."""
+        self.coef *= other.coef
+        self.mexp = tuple(a + b for a, b in zip(self.mexp, other.mexp))
+        for key, (p, mult) in other.factors.items():
+            slot = self.factors.get(key)
+            if slot is None:
+                self.factors[key] = [p, mult]
+            else:
+                slot[1] += mult
+                if slot[1] == 0:
+                    del self.factors[key]
         return self
 
     def to_scalar(self) -> Scalar:

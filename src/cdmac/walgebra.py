@@ -24,9 +24,11 @@ its reciprocal, is what makes the correlation z-symmetric).
 At the principal point every gamma argument is a monomial, so each surviving
 tuple's kernel product is a ratio of binomials (1 - monomial), exactly like a
 tableau term: the 'tableau' path of phi_principal builds it as a
-FactoredScalar and sums each weight over a least common denominator.  The
-'full' path and correlation_F multiply gamma_base values in plain Scalar (or
-rational) arithmetic; that path is the arithmetic oracle for the factored one.
+FactoredScalar and sums each weight over a least common denominator.  Each
+pair kernel (letters a, b at points z_a, z_b) is built once per call and
+merged into every tuple that contains it.  The 'full' path and
+correlation_F multiply gamma_base values in plain Scalar (or rational)
+arithmetic; that path is the arithmetic oracle for the factored one.
 """
 
 from __future__ import annotations
@@ -138,12 +140,21 @@ def _kernel_product(table: GammaTable, eps, z):
                 for i, j in combinations(range(len(eps)), 2))
 
 
-def _kernel_factored(table: GammaTable, eps, z) -> FactoredScalar:
-    """_kernel_product for monomial z, q and t, as one product of binomials."""
+def _kernel_factored(table: GammaTable, eps, z, memo: dict) -> FactoredScalar:
+    """_kernel_product for monomial z, q and t, as one product of binomials.
+
+    memo maps (a, b, z_a, z_b) to that pair's factored kernel; the caller
+    keeps it for one sum only.
+    """
     fs = FactoredScalar()
     for i, j in combinations(range(len(eps)), 2):
-        for x in table.gamma_args(eps[i], eps[j], z[i], z[j]):
-            _gamma_factored(fs, x, table.q, table.t)
+        key = (eps[i], eps[j], z[i], z[j])
+        pair = memo.get(key)
+        if pair is None:
+            pair = memo[key] = FactoredScalar()
+            for x in table.gamma_args(*key):
+                _gamma_factored(pair, x, table.q, table.t)
+        fs.times(pair)
     return fs
 
 
@@ -201,7 +212,8 @@ def phi_principal(family: str, l: int, r: int, path: str = "tableau",
         return correlation_F(_principal_spec(family, l, r), budget)
     zs, qh, th = _principal_args(r)
     table = GammaTable(family, l, qh, th)
-    return _from_terms(l, ((tab.weight(), _kernel_factored(table, _tableau_tuple(tab), zs))
+    memo: dict = {}
+    return _from_terms(l, ((tab.weight(), _kernel_factored(table, _tableau_tuple(tab), zs, memo))
                            for tab in enumerate_tableaux(Alphabet(family, l), r)))
 
 

@@ -7,11 +7,13 @@ fired, and checks that a certificate which does not run the faulted code
 sees it.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
+import test_factored_eq
 
-from cdmac import macdonald, oracle, poly, walgebra
+from cdmac import macdonald, oracle, poly, scalar, walgebra
 from cdmac.cli import main
 from cdmac.poly import SparsePoly
 from cdmac.walgebra import GammaTable
@@ -136,3 +138,98 @@ def test_dropped_quotient_term_against_route_byte_equality(monkeypatch, capsys):
     assert fired
     assert outs["tableau"] != outs["lassalle"]
     assert outs["tableau"] == outs["walgebra"]
+
+
+def _certificates(family: str, n: int, r: int) -> dict:
+    """Which route equalities hold, as data: tableau = inversion, tableau =
+    correlation, and the correlation route's factored path = its full path
+    (plain Scalar arithmetic)."""
+    T = macdonald.T_SPECIAL if family == "C" else None
+    tab = macdonald.tableau_poly(family, n, r, T)
+    phi = walgebra.phi_principal(family, n, r)
+    return {"tableau = inversion": tab == macdonald.lassalle_invert(family, n, r, T),
+            "tableau = correlation": tab == phi,
+            "correlation = full path": phi == walgebra.phi_principal(family, n, r, path="full")}
+
+
+def test_factored_eq_skipping_extra_copies_caught_by_oracle(monkeypatch):
+    fired = []
+
+    def skip_extra_copies(a, b):
+        # the other side's monomial part and content only, no binomial copies
+        if test_factored_eq.lcd(a) != test_factored_eq.lcd(b):
+            fired.append((a, b))
+        ca, ma = a.den_unit()
+        cb, mb = b.den_unit()
+        return a.num.scaled(cb).shift(mb) == b.num.scaled(ca).shift(ma)
+    monkeypatch.setattr(scalar, "_factored_eq", skip_extra_copies)
+    misses = [m for case in test_factored_eq.GRID
+              for m in test_factored_eq.disagreements(test_factored_eq.route_values(case))[1]]
+    assert fired
+    assert misses  # oracle.cross_multiplied_eq reads no den_factors
+    assert test_factored_eq.synthetic_misses(range(40))
+    # data: tableau and correlation outputs share their LCDs, inversion's differ
+    assert _certificates("D", 2, 3) == {"tableau = inversion": False,
+                                        "tableau = correlation": True,
+                                        "correlation = full path": True}
+
+
+def test_off_by_one_inversion_block_caught_by_tableau(monkeypatch):
+    fired = []
+    blocks = []  # the _invert_block frames whose c_i argument was read
+    real = macdonald._tq
+
+    def r_minus_i_plus_one(a, b):
+        # the first _tq(n, r - i) of a block, the argument of c_i's
+        # (t^n q^(r-i); q)_i, is read as _tq(n, r - i + 1); the second, the
+        # denominator 1 - t^n q^(r-i) of the pair, is left alone
+        caller = sys._getframe(1)
+        if caller.f_code is macdonald._invert_block.__code__ and \
+                not any(f is caller for f in blocks):
+            n, r, i = (caller.f_locals[k] for k in ("n", "r", "i"))
+            if (a, b) == (n, r - i):
+                blocks.append(caller)
+                fired.append(i)
+                b += 1
+        return real(a, b)
+    monkeypatch.setattr(macdonald, "_tq", r_minus_i_plus_one)
+    certs = _certificates("D", 2, 3)
+    assert 1 in fired  # at i = 0 the block's q-factorials are empty
+    assert certs == {"tableau = inversion": False,  # the tableau sum builds no block
+                     "tableau = correlation": True,
+                     "correlation = full path": True}
+
+
+class _LettersOnlyMemo(dict):
+    """A pair-kernel memo keyed on the two letters without their points z."""
+
+    def __init__(self, fired):
+        super().__init__()
+        self.fired, self.points = fired, {}
+
+    def get(self, key, default=None):
+        hit = super().get(key[:2], default)
+        if hit is not None and self.points[key[:2]] != key[2:]:
+            self.fired.append(key)
+        return hit
+
+    def __setitem__(self, key, value):
+        self.points[key[:2]] = key[2:]
+        super().__setitem__(key[:2], value)
+
+
+def test_kernel_memo_without_points_caught_by_tableau(monkeypatch):
+    fired = []
+    real = walgebra._kernel_factored
+    memos = {}  # keeps each call's memo alive, so that its id stays its own
+
+    def letters_only(table, eps, z, memo):
+        _, faulty = memos.setdefault(id(memo), (memo, _LettersOnlyMemo(fired)))
+        return real(table, eps, z, faulty)
+    monkeypatch.setattr(walgebra, "_kernel_factored", letters_only)
+    certs = {family: _certificates(family, 2, 3) for family in ("C", "D")}
+    assert fired
+    for family in ("C", "D"):  # the tableau sum and the full path build no memo
+        assert certs[family] == {"tableau = inversion": True,
+                                 "tableau = correlation": False,
+                                 "correlation = full path": False}

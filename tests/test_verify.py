@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cdmac import verify
+from cdmac import macdonald, verify
+from cdmac.errors import UsageError
 from cdmac.poly import Mon
 
 
@@ -49,3 +50,25 @@ def test_suite_lassalle_small():
     for suite, count in (("lassalleD", 6), ("lassalleC", 18)):
         rep = verify.run_suite(suite, seed=0, n_max=2, r_max=2)
         assert rep.passed and len(rep.results) == count
+
+
+def test_run_suite_refuses_a_corrupt_identity_it_does_not_run():
+    # a negative control that the suite never runs could not fail
+    for suite in ("thm22", "soukan", "lassalleD"):
+        with pytest.raises(UsageError):
+            verify.run_suite(suite, seed=0, samples=3, corrupt="watson")
+    assert not verify.run_suite("classical", seed=0, samples=3, corrupt="watson").passed
+    assert not verify.run_suite("thm22", seed=0, samples=3, corrupt="thm_2_2").passed
+
+
+def test_lassalleC_builds_each_g_row_once(monkeypatch):
+    calls = []
+    real = macdonald.g_series
+
+    def counting(n, r):
+        calls.append((n, r))
+        return real(n, r)
+    monkeypatch.setattr(macdonald, "g_series", counting)
+    assert verify.run_suite("lassalleC", seed=0, n_max=2, r_max=2).passed
+    # four general-T values read each row of n = 2
+    assert sorted(calls) == [(2, 0), (2, 1), (2, 2)]
