@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import macdonald, qseries, verify, walgebra
 from .errors import NonLaurentResultError, PoleError, UsageError
 from .laurent import LaurentPoly
-from .poly import Mon
+from .poly import _MASK, Mon
 from .tableaux import Alphabet, count_closed_form, enumerate_tableaux
 
 EXIT_OK = 0
@@ -43,7 +43,10 @@ def _parse_T(text: str):
 def _compute(args) -> tuple[int, str]:
     family = args.family
     T = _parse_T(args.T) if args.T is not None else None
-    macdonald._family_T(family, T)  # the family/T rule holds on every route
+    Tm = macdonald._family_T(family, T)  # the family/T rule holds on every route
+    if macdonald._T_reach(args.r, Tm) > _MASK:  # checked before any route starts work
+        raise UsageError(f"T = {args.T} takes generator exponents at r = {args.r} past "
+                         "the 20-bit packing range [0, 2^20)")
     count = count_closed_form(family, args.n, args.r)
     if count > args.budget:  # checked before any route starts work
         raise UsageError(f"{count} tableaux exceed the budget {args.budget}")

@@ -11,12 +11,18 @@ binomials are the true least common denominator of the sum over shift
 directions (n^2 + 2n of them at rank n).  The sum is divided back by one
 binomial at a time, and each division is asserted exact, not assumed:
 failure raises NonLaurentResultError.
+
+The products, the sum and the divisions run over the coefficient ring, not
+the field: integers for a sampled (rational) input, Scalars without
+non-monomial denominators for a symbolic one.  cdmac.oracle keeps the same
+operator over the field as field_koornwinder_apply.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import add, sub
 
 from .errors import UsageError
 from .laurent import LaurentPoly, divide_exact
@@ -89,36 +95,44 @@ def _directions(kp: KoornwinderParams, n: int):
             yield i, sg, num, den
 
 
-def _times(p: LaurentPoly, c, e) -> LaurentPoly:
-    """p * (1 - c x^e)."""
-    nc = -c
-    return p + LaurentPoly(p.rank, {tuple(x + y for x, y in zip(f, e)): nc * v
-                                    for f, v in p.terms.items()})
-
-
-def _clear_denominators(p: LaurentPoly):
-    """Factor p as (1/D) * p_cleared with polynomial Scalar coefficients.
-
-    Scalar addition never gcd-reduces, so letting fractions meet inside the
-    big operator products compounds denominators; the operator commutes with
-    the x-independent factor D, so it is cleared up front instead.  D is the
-    product of the distinct denominators; each cofactor D / den is the
-    product of the others.
-    """
-    # a Scalar's den is primitive with content 1, so each one is its own key
-    dens = list(dict.fromkeys(c.den for c in p.terms.values()
-                              if isinstance(c, Scalar) and not c.den.is_monomial()))
-    if not dens:
-        return None, p
-    cofs = {d: prod((o for o in dens if o != d), start=SparsePoly.one()) for d in dens}
-    D = prod(dens, start=SparsePoly.one())
-    out = {}
-    for e, c in p.terms.items():
-        if isinstance(c, Scalar) and not c.den.is_monomial():
-            out[e] = Scalar(c.num * cofs[c.den])
+def _times(terms: dict, cn, cd, e) -> dict:
+    """terms * (cd - cn x^e), on plain dicts over the coefficient ring."""
+    out = dict(terms) if cd == 1 else {f: v * cd for f, v in terms.items()}
+    get = out.get
+    for f, v in terms.items():
+        g = tuple(map(add, f, e))
+        s = get(g, 0) - cn * v
+        if s:
+            out[g] = s
         else:
-            out[e] = c * Scalar(D)
-    return Scalar(D), LaurentPoly(p.rank, out)
+            out.pop(g, None)
+    return out
+
+
+def _clear_denominators(values: list):
+    """(D, [v * D for v in values]) with every v * D in the coefficient ring.
+
+    Rationals clear to integers over the lcm of their denominators, so a
+    rational c comes out as (c.denominator, [c.numerator]), in lowest terms.
+    Scalar addition never gcd-reduces, so letting fractions meet inside the
+    big operator products would compound denominators: a Scalar's
+    non-monomial denominators clear over their product, each cofactor D / den
+    being the product of the others.  A monomial denominator stays, as a
+    unit of the Laurent polynomials in the generators.
+    """
+    if not any(isinstance(v, Scalar) for v in values):
+        D = lcm(*(v.denominator for v in values))
+        return D, [v.numerator * (D // v.denominator) for v in values]
+    # a Scalar's den is primitive with content 1, so each one is its own key
+    dens = list(dict.fromkeys(v.den for v in values
+                              if isinstance(v, Scalar) and not v.den.is_monomial()))
+    if not dens:
+        return 1, list(values)
+    cofs = {d: prod((o for o in dens if o != d), start=SparsePoly.one()) for d in dens}
+    D = Scalar(prod(dens, start=SparsePoly.one()))
+    return D, [Scalar(v.num * cofs[v.den])
+               if isinstance(v, Scalar) and not v.den.is_monomial() else v * D
+               for v in values]
 
 
 def koornwinder_apply(p: LaurentPoly, kp: KoornwinderParams) -> LaurentPoly:
@@ -129,12 +143,18 @@ def koornwinder_apply(p: LaurentPoly, kp: KoornwinderParams) -> LaurentPoly:
     a monomial unit to a lexicographically positive exponent; the distinct
     normalized binomials form the least common denominator.  The sum over it
     is divided back by one binomial at a time.
+
+    The products, the sum and the divisions run over the coefficient ring:
+    p is cleared of its denominators, each binomial 1 - c x^e is taken as
+    cd - cn x^e with c = cn / cd, the q-shift is scaled to ring values, and
+    the directions are brought to one common denominator before they are
+    summed.  Every such x-independent factor is collected in one scalar,
+    applied once at the end.
     """
-    D, cleared = _clear_denominators(p)
-    if D is not None:
-        return koornwinder_apply(cleared, kp).scale(Scalar.one() / D)
     n = p.rank
     zero = (0,) * n
+    Dp, coeffs = _clear_denominators(list(p.terms.values()))
+    terms = dict(zip(p.terms, coeffs))
     plans, lcd = [], []
     for i, sg, num, den in _directions(kp, n):
         unit_c, unit_e, own = 1, zero, []
@@ -145,20 +165,46 @@ def koornwinder_apply(p: LaurentPoly, kp: KoornwinderParams) -> LaurentPoly:
             own.append((c, e))
         lcd += [f for f in own if f not in lcd]
         plans.append((i, sg, num, own, unit_c, unit_e))
-    total = LaurentPoly.zero(n)
+    # x_i -> q^sg x_i takes x^f to q^(sg f_i) x^f; over the ring that is
+    # qn^(s + R) qd^(R - s) / (qn qd)^R with s = sg f_i and R = max |f_i|
+    qd, (qn,) = _clear_denominators([kp.q])
+    R = max((abs(x) for f in terms for x in f), default=0)
+    shift_den = (qn * qd) ** R
+    weight = {s: qn ** (s + R) * qd ** (R - s) - shift_den for s in range(-R, R + 1)}
+    one = kp.q ** 0  # the coefficient field's 1, so that one / x stays exact
+    parts, scales = [], []
     for i, sg, num, own, unit_c, unit_e in plans:
-        part = p.shift_variable(i, kp.q ** sg) - p
-        if part.is_zero():
+        part = {}
+        for f, v in terms.items():
+            w = weight[sg * f[i]]
+            if w:
+                part[f] = v * w
+        if not part:
             continue
         # only q = 1 repeats a pole binomial within one direction, and then
         # no direction gets this far: the lcd needs no multiplicities
+        denom = shift_den * unit_c
         for c, e in num + [f for f in lcd if f not in own]:
-            part = _times(part, c, e)
-        total = total + LaurentPoly(n, {tuple(x - y for x, y in zip(f, unit_e)): v / unit_c
-                                        for f, v in part.terms.items()})
+            cd, (cn,) = _clear_denominators([c])  # 1 - c x^e = (cd - cn x^e) / cd
+            part = _times(part, cn, cd, e)
+            denom = denom * cd
+        parts.append({tuple(map(sub, f, unit_e)): v for f, v in part.items()})
+        scales.append(one / denom)
+    L, mults = _clear_denominators(scales)
+    total = {}
+    for part, m in zip(parts, mults):
+        for f, v in part.items():
+            s = total.get(f, 0) + m * v
+            if s:
+                total[f] = s
+            else:
+                total.pop(f, None)
+    scale = one / (Dp * L * kp.alpha * kp.t ** (n - 1))
     for c, e in lcd:
-        total = divide_exact(total, c, e)
-    return total.scale(1 / (kp.alpha * kp.t ** (n - 1)))
+        cd, (cn,) = _clear_denominators([c])
+        total = divide_exact(total, cn, cd, e)
+        scale = scale * cd
+    return LaurentPoly(n, {f: v * scale for f, v in total.items()})
 
 
 def triangularity_check(p: LaurentPoly, r: int) -> bool:

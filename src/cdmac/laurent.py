@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import add, le
 
 from .errors import NonLaurentResultError, UsageError
 from .scalar import Scalar
@@ -373,36 +374,60 @@ def _parse_lterm(chunk: str, rank: int, field: str):
 # exact division
 # ---------------------------------------------------------------------------
 
-def divide_exact(p: LaurentPoly, c, e: tuple[int, ...]) -> LaurentPoly:
-    """Exact division p / (1 - c x^e) by one binomial: c != 0, e lexicographically positive.
+def _exact_quotient(a, b):
+    """a / b in the coefficient ring, where it must divide exactly.
 
-    Quotient terms are peeled off in increasing lexicographic order.  An
-    exact quotient lies in p's exponent box shrunk by the segment [0, e], so
-    a quotient term outside it means a remainder: NonLaurentResultError.
+    An integer quotient that leaves a remainder raises; every other
+    coefficient lies in a field (Fraction or Scalar), where each quotient is
+    exact.
     """
-    n = p.rank
-    if p.is_zero():
-        return p
-    lo = [min(f[k] for f in p.terms) - min(e[k], 0) for k in range(n)]
-    hi = [max(f[k] for f in p.terms) - max(e[k], 0) for k in range(n)]
-    rem = dict(p.terms)
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise NonLaurentResultError("denominators do not clear: remainder left")
+        return q
+    return a / b
+
+
+def divide_exact(terms: dict, cn, cd, e: tuple[int, ...]) -> dict:
+    """Exact division terms / (cd - cn x^e) by one binomial over the coefficient
+    ring: terms maps exponents to coefficients, cn != 0, and e is
+    lexicographically positive.
+
+    Quotient terms are peeled off in increasing lexicographic order, each the
+    lowest remaining term over cd.  An exact quotient lies in the exponent
+    box of terms shrunk by the segment [0, e], so a quotient term outside it
+    means a remainder: NonLaurentResultError.  Over the integers, with cn/cd
+    in lowest terms, cd - cn x^e is primitive, so by Gauss's lemma it divides
+    an integer dividend over Q only with an integer quotient: a remainder of
+    any coefficient quotient raises as well.
+    """
+    if not terms:
+        return {}
+    cols = list(zip(*terms))
+    lo = [min(col) - min(ek, 0) for col, ek in zip(cols, e)]
+    hi = [max(col) - max(ek, 0) for col, ek in zip(cols, e)]
+    rem = dict(terms)
     heap = list(rem)
     heapify(heap)
     quo = {}
+    unit = cd == 1
     while heap:
         m = heappop(heap)
         qc = rem.pop(m, 0)
         if not qc:
             continue
-        if any(not lo[k] <= m[k] <= hi[k] for k in range(n)):
+        if not (all(map(le, lo, m)) and all(map(le, m, hi))):
             raise NonLaurentResultError("denominators do not clear: remainder left")
+        if not unit:
+            qc = _exact_quotient(qc, cd)
         quo[m] = qc
-        g = tuple(x + y for x, y in zip(m, e))
+        g = tuple(map(add, m, e))
         if g not in rem:
             heappush(heap, g)
-        s = rem.get(g, 0) + c * qc
+        s = rem.get(g, 0) + cn * qc
         if s:
             rem[g] = s
         else:
             rem.pop(g, None)
-    return LaurentPoly(n, quo)
+    return quo

@@ -59,6 +59,14 @@ def _family_T(family: str, T) -> Mon:
     return _as_mon(T_SPECIAL if T is None else T)
 
 
+def _T_reach(r: int, Tm: Mon) -> int:
+    """The largest generator exponent that the factors in T bring into a
+    route at row r: no numerator or denominator of the tableau or inversion
+    route holds more than floor(r/2) binomials in T, and each adds T's
+    largest exponent in one field (in half powers)."""
+    return r // 2 * max(abs(e) for e in Tm.exp)
+
+
 def _mon_sqrt(m: Mon) -> Mon:
     from .scalar import field_sqrt
     if any(e % 2 for e in m.exp):

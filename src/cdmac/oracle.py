@@ -10,6 +10,12 @@ this module and the package does not export it.
   * eigenvalue_bracket_form -- the Koornwinder eigenvalue in bracket form,
     against koornwinder.koornwinder_eigenvalue
     (tests/test_koornwinder.py::test_eigenvalue_two_bracket_forms_agree).
+  * field_koornwinder_apply -- the Koornwinder operator with its products,
+    sum and one-binomial divisions (field_divide_exact) all over the
+    coefficient field, against koornwinder.koornwinder_apply, which runs
+    them over the coefficient ring and divides with laurent.divide_exact
+    (tests/test_koornwinder.py, tests/test_independence.py).  Both read the
+    operator's binomials from koornwinder._directions.
   * surviving_tuples -- the support of the full (2l)^r correlation
     enumeration, against the one-row tableaux that the 'tableau' path of
     walgebra.phi_principal enumerates
@@ -35,9 +41,11 @@ this module and the package does not export it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, prod
 
-from .koornwinder import KoornwinderParams
+from .errors import NonLaurentResultError
+from .koornwinder import KoornwinderParams, _directions
 from .laurent import LaurentPoly
 from .poly import _MASK, _SHIFT_U, _SHIFT_V, SparsePoly, _grlex, _unpack
 from .scalar import Scalar, field_sqrt
@@ -107,6 +115,117 @@ def eigenvalue_bracket_form(lam, kp: KoornwinderParams):
     if isinstance(d, int):
         d = Scalar.zero() if isinstance(kp.q, Scalar) else Fraction(0)
     return d
+
+
+# ---------------------------------------------------------------------------
+# the Koornwinder operator over the coefficient field
+# ---------------------------------------------------------------------------
+
+def _field_times(p: LaurentPoly, c, e) -> LaurentPoly:
+    """p * (1 - c x^e)."""
+    nc = -c
+    return p + LaurentPoly(p.rank, {tuple(x + y for x, y in zip(f, e)): nc * v
+                                    for f, v in p.terms.items()})
+
+
+def _field_clear_denominators(p: LaurentPoly):
+    """Factor p as (1/D) * p_cleared with polynomial Scalar coefficients.
+
+    Scalar addition never gcd-reduces, so letting fractions meet inside the
+    big operator products compounds denominators; the operator commutes with
+    the x-independent factor D, so it is cleared up front instead.  D is the
+    product of the distinct denominators; each cofactor D / den is the
+    product of the others.
+    """
+    # a Scalar's den is primitive with content 1, so each one is its own key
+    dens = list(dict.fromkeys(c.den for c in p.terms.values()
+                              if isinstance(c, Scalar) and not c.den.is_monomial()))
+    if not dens:
+        return None, p
+    cofs = {d: prod((o for o in dens if o != d), start=SparsePoly.one()) for d in dens}
+    D = prod(dens, start=SparsePoly.one())
+    out = {}
+    for e, c in p.terms.items():
+        if isinstance(c, Scalar) and not c.den.is_monomial():
+            out[e] = Scalar(c.num * cofs[c.den])
+        else:
+            out[e] = c * Scalar(D)
+    return Scalar(D), LaurentPoly(p.rank, out)
+
+
+def field_divide_exact(p: LaurentPoly, c, e: tuple[int, ...]) -> LaurentPoly:
+    """Exact division p / (1 - c x^e) by one binomial: c != 0, e lexicographically positive.
+
+    Quotient terms are peeled off in increasing lexicographic order.  An
+    exact quotient lies in p's exponent box shrunk by the segment [0, e], so
+    a quotient term outside it means a remainder: NonLaurentResultError.
+    """
+    n = p.rank
+    if p.is_zero():
+        return p
+    lo = [min(f[k] for f in p.terms) - min(e[k], 0) for k in range(n)]
+    hi = [max(f[k] for f in p.terms) - max(e[k], 0) for k in range(n)]
+    rem = dict(p.terms)
+    heap = list(rem)
+    heapify(heap)
+    quo = {}
+    while heap:
+        m = heappop(heap)
+        qc = rem.pop(m, 0)
+        if not qc:
+            continue
+        if any(not lo[k] <= m[k] <= hi[k] for k in range(n)):
+            raise NonLaurentResultError("denominators do not clear: remainder left")
+        quo[m] = qc
+        g = tuple(x + y for x, y in zip(m, e))
+        if g not in rem:
+            heappush(heap, g)
+        s = rem.get(g, 0) + c * qc
+        if s:
+            rem[g] = s
+        else:
+            rem.pop(g, None)
+    return LaurentPoly(n, quo)
+
+
+def field_koornwinder_apply(p: LaurentPoly, kp: KoornwinderParams) -> LaurentPoly:
+    """Apply the q-difference operator D_x to p, exactly.
+
+    Direction (i, sign) contributes (shifted p - p) times its numerator
+    binomials over its pole binomials.  Each pole binomial is normalized up to
+    a monomial unit to a lexicographically positive exponent; the distinct
+    normalized binomials form the least common denominator.  The sum over it
+    is divided back by one binomial at a time.
+    """
+    D, cleared = _field_clear_denominators(p)
+    if D is not None:
+        return field_koornwinder_apply(cleared, kp).scale(Scalar.one() / D)
+    n = p.rank
+    zero = (0,) * n
+    plans, lcd = [], []
+    for i, sg, num, den in _directions(kp, n):
+        unit_c, unit_e, own = 1, zero, []
+        for c, e in den:
+            if e < zero:  # 1 - c x^e = -c x^e (1 - c^-1 x^-e)
+                unit_c, unit_e = -c * unit_c, tuple(x + y for x, y in zip(unit_e, e))
+                c, e = 1 / c, tuple(-v for v in e)
+            own.append((c, e))
+        lcd += [f for f in own if f not in lcd]
+        plans.append((i, sg, num, own, unit_c, unit_e))
+    total = LaurentPoly.zero(n)
+    for i, sg, num, own, unit_c, unit_e in plans:
+        part = p.shift_variable(i, kp.q ** sg) - p
+        if part.is_zero():
+            continue
+        # only q = 1 repeats a pole binomial within one direction, and then
+        # no direction gets this far: the lcd needs no multiplicities
+        for c, e in num + [f for f in lcd if f not in own]:
+            part = _field_times(part, c, e)
+        total = total + LaurentPoly(n, {tuple(x - y for x, y in zip(f, unit_e)): v / unit_c
+                                        for f, v in part.terms.items()})
+    for c, e in lcd:
+        total = field_divide_exact(total, c, e)
+    return total.scale(1 / (kp.alpha * kp.t ** (n - 1)))
 
 
 def surviving_tuples(family: str, l: int, r: int, budget: int = 50000) -> set:

@@ -264,16 +264,20 @@ class _FactoredDenScalar(Scalar):
     on it yields plain Scalars, so the attachment costs the arithmetic nothing.
     """
 
-    __slots__ = ("den_factors",)
+    __slots__ = ("den_factors", "unit")
 
     def den_unit(self) -> tuple[Fraction, tuple[int, int, int]]:
         """(c, m) with den == c * x^m * prod p**need over den_factors.
 
-        Every p is primitive with a positive leading coefficient and has no
-        monomial factor (_binomial_parts), so c is den's content and x^m its
-        monomial content.
+        sum_factored records it as unit when it builds the value.  Every p is
+        primitive with a positive leading coefficient and has no monomial
+        factor (_binomial_parts), so c is den's content and x^m its monomial
+        content, which is where a value assembled by hand reads them.
         """
-        return self.den.content, self.den.min_exps()
+        try:
+            return self.unit
+        except AttributeError:
+            return self.den.content, self.den.min_exps()
 
 
 def _factored_eq(a: _FactoredDenScalar, b: _FactoredDenScalar) -> bool:
@@ -480,10 +484,24 @@ def sum_factored(terms) -> Scalar:
                 for _ in range(need):
                     part = part * p
         num = num + part
-    den = SparsePoly.one().shift(tuple(-s for s in shift))
-    for key, (p, need) in lcm_den.items():
-        for _ in range(need):
-            den = den * p
-    out = _FactoredDenScalar(num, den)
+    if num.is_zero():
+        out = _FactoredDenScalar(_ZERO_P, _ONE_P, _normalized=True)
+        mono = (0, 0, 0)
+    else:
+        # den is x^-shift times primitive binomials with positive leading
+        # coefficients and no monomial factor: its content is 1 and its
+        # monomial part x^-shift, so normalizing only divides out the
+        # monomial x^mu that num shares with it
+        low = tuple(-s for s in shift)
+        mu = tuple(map(min, num.min_exps(), low))
+        if any(mu):
+            num = num.shift(tuple(-e for e in mu))
+        mono = tuple(a - b for a, b in zip(low, mu))
+        den = SparsePoly.one().shift(mono)
+        for p, need in lcm_den.values():
+            for _ in range(need):
+                den = den * p
+        out = _FactoredDenScalar(num, den, _normalized=True)
     out.den_factors = tuple((p, need) for p, need in lcm_den.values())
+    out.unit = (Fraction(1), mono)
     return out

@@ -227,10 +227,9 @@ def _suite_lassalleC(seed, n_max=3, r_max=4):
             for n in range(2, n_max + 1) for r in range(r_max + 1)}
     for n in range(1, n_max + 1):
         for r in range(r_max + 1):
-            ok = macdonald.tableau_poly_C_special(n, r) == \
-                macdonald.lassalle_invert("C", n, r, macdonald.T_SPECIAL)
-            ok = ok and (macdonald.tableau_poly_C_general(n, r, macdonald.T_SPECIAL)
-                         == macdonald.tableau_poly_C_special(n, r))
+            special = macdonald.tableau_poly_C_special(n, r)
+            ok = special == macdonald.lassalle_invert("C", n, r, macdonald.T_SPECIAL)
+            ok = ok and macdonald.tableau_poly_C_general(n, r, macdonald.T_SPECIAL) == special
             out.append(InstanceResult("lassalle_C_special", {"n": n, "r": r}, ok, seed))
     for label, T in _general_T_values():
         for n in range(2, n_max + 1):

@@ -140,6 +140,27 @@ def test_T_exponent_product_outside_packing_exits_2(capsys):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+def test_T_exponent_range_refused_before_any_route(monkeypatch, capsys):
+    # two binomials in T = t^400000 reach 1600000 half-powers of t at r = 4
+    from cdmac import macdonald
+
+    def unreachable(*args):
+        raise AssertionError("the route started")
+    monkeypatch.setattr(macdonald, "tableau_poly", unreachable)
+    code, out, err = run(capsys, "compute", "--family", "C", "--n", "1", "--r", "4",
+                         "--T", "t^400000")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: T = t^400000") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("T", ["t^200000", "q^200000", "t^-200000"])
+def test_T_exponent_within_range_runs(capsys, T):
+    # one binomial in T at r = 2: 400000 half-powers stay inside the range
+    code, out, _ = run(capsys, "compute", "--family", "C", "--n", "2", "--r", "2",
+                       "--T", T)
+    assert code == 0 and out
+
+
 def test_pole_exit_3(capsys):
     # T = q^-1 makes a lower q-shifted-factorial entry hit 1 at rank 1, row 2
     code, _, err = run(capsys, "compute", "--family", "C", "--n", "1", "--r", "2",

@@ -4,7 +4,8 @@ The tableau, inversion and principal correlation routes all sum factored
 products with macdonald._from_terms / sum_factored, so a fault there could
 make them agree by construction.  Each test plants one fault, checks that it
 fired, and checks that a certificate which does not run the faulted code
-sees it.
+sees it.  The last two plant faults in the Koornwinder eigen certificate:
+its eigenvalue, and the exact coefficient quotient of its ring division.
 """
 
 import sys
@@ -13,8 +14,11 @@ from fractions import Fraction
 import pytest
 import test_factored_eq
 
-from cdmac import macdonald, oracle, poly, scalar, walgebra
+from cdmac import koornwinder, laurent, macdonald, oracle, poly, scalar, verify, walgebra
 from cdmac.cli import main
+from cdmac.errors import NonLaurentResultError
+from cdmac.koornwinder import bc_specialize, koornwinder_apply
+from cdmac.laurent import LaurentPoly
 from cdmac.poly import SparsePoly
 from cdmac.walgebra import GammaTable
 
@@ -233,3 +237,76 @@ def test_kernel_memo_without_points_caught_by_tableau(monkeypatch):
         assert certs[family] == {"tableau = inversion": True,
                                  "tableau = correlation": False,
                                  "correlation = full path": False}
+
+
+def _eigen_certificates(family: str, n: int, r: int) -> dict:
+    """The route equalities of _certificates, the eigen certificate and the
+    principal closed form, as data."""
+    T = macdonald.T_SPECIAL if family == "C" else None
+    return {**_certificates(family, n, r),
+            "eigen": verify.eigen_check(family, n, r, T),
+            "principal closed form": macdonald.principal_specialize(family, n, r, T)
+            == macdonald.principal_closed_form(family, n, r, T)}
+
+
+def test_wrong_eigenvalue_caught_by_eigen_only(monkeypatch):
+    fired = []
+
+    def t_power_off_by_one(lam, kp):
+        # d_lambda with alpha t^(n-j+1) where koornwinder_eigenvalue has
+        # alpha t^(n-j)
+        fired.append(lam)
+        n, d = len(lam), 0
+        for j, part in enumerate(lam, start=1):
+            y = kp.alpha * kp.t ** (n - j + 1)
+            x = y * kp.q ** part
+            if part:
+                d = d + (x + 1 / x - y - 1 / y)
+        return koornwinder.EigenvalueData(d, [])
+    monkeypatch.setattr(verify, "koornwinder_eigenvalue", t_power_off_by_one)
+    certs = _eigen_certificates("D", 2, 3)
+    assert fired
+    assert certs == {"tableau = inversion": True,  # no route reads the eigenvalue
+                     "tableau = correlation": True,
+                     "correlation = full path": True,
+                     "eigen": False,
+                     "principal closed form": True}
+
+
+def test_truncating_quotient_in_the_kernel(monkeypatch):
+    fired = []
+    real = laurent._exact_quotient
+
+    def truncating(a, b):
+        if isinstance(a, int) and isinstance(b, int) and a % b:
+            fired.append((a, b))
+            return a // b
+        return real(a, b)
+    monkeypatch.setattr(laurent, "_exact_quotient", truncating)
+
+    def raises(fn, *args) -> bool:
+        try:
+            fn(*args)
+        except NonLaurentResultError:
+            return True
+        return False
+    kp = bc_specialize(Fraction(1), Fraction(9, 16), Fraction(4, 9), Fraction(2, 5))
+    certs = {"eigen": _eigen_certificates("C", 2, 3)["eigen"],
+             "asymmetric input raises": raises(
+                 koornwinder_apply, LaurentPoly(2, {(1, 0): Fraction(1)}), kp)}
+    assert not fired  # every division of a certified polynomial is exact
+    # at rank 1 and these parameters, x^3 - 8113/1296 x clears the pole
+    # binomial 1 - x^2 but not 1 - q x^2, so the fault fires in the operator
+    p = LaurentPoly(1, {(3,): Fraction(1), (1,): Fraction(-8113, 1296)})
+    assert raises(oracle.field_koornwinder_apply, p, kp)
+    certs["non-clearing rank-1 input raises"] = raises(koornwinder_apply, p, kp)
+    assert fired
+    # (1 + 2x - x^2) / (2 - x): the truncated peel 1 // 2 = 0 leaves a
+    # remainder that the exponent box cannot see, and returns x
+    certs["divide_exact remainder raises"] = raises(
+        laurent.divide_exact, {(0,): 1, (1,): 2, (2,): -1}, 1, 2, (1,))
+    assert certs == {"eigen": True,
+                     "asymmetric input raises": True,
+                     # the box check of a later peel still refuses it
+                     "non-clearing rank-1 input raises": True,
+                     "divide_exact remainder raises": False}

@@ -10,10 +10,10 @@ from cdmac.koornwinder import (KoornwinderParams, bc_specialize,
 from cdmac.laurent import LaurentPoly
 from cdmac.macdonald import (T_SPECIAL, _family_T, tableau_poly,
                              tableau_poly_C_special, tableau_poly_D)
-from cdmac.oracle import eigenvalue_bracket_form
+from cdmac.oracle import eigenvalue_bracket_form, field_koornwinder_apply
 from cdmac.poly import Mon
 from cdmac.scalar import Scalar
-from cdmac.verify import _EIGEN_SAMPLES
+from cdmac.verify import _EIGEN_SAMPLES, _eigen_variants
 
 Q = Scalar.from_mon(Mon.q())
 T = Scalar.from_mon(Mon.t())
@@ -165,3 +165,50 @@ def test_sampled_matches_symbolic_apply():
     kp_num = bc_specialize(F(1), F(1), u * u, v * v)
     out_num = koornwinder_apply(p.map_coefficients(lambda c: c.eval(u, v, F(1))), kp_num)
     assert out_sym.map_coefficients(lambda c: c.eval(u, v, F(1))) == out_num
+
+
+def _sampled(family, n, r, T, sample):
+    """The tableau polynomial at a sample point, with its operator parameters."""
+    u, v, w = sample
+    p = tableau_poly(family, n, r, T).map_coefficients(lambda c: c.eval(u, v, w))
+    kp = bc_specialize(F(1), Scalar.from_mon(_family_T(family, T)).eval(u, v, w),
+                       u * u, v * v)
+    return p, kp
+
+
+@pytest.mark.parametrize("sample", _EIGEN_SAMPLES, ids=lambda s: "-".join(map(str, s)))
+def test_ring_kernel_matches_field_oracle(sample):
+    # products, sum and divisions over the integers against the same operator
+    # over the field, on every certified polynomial at n <= 2, r <= 3
+    cases = list(_eigen_variants(2, 3))
+    assert len(cases) == 28
+    for family, n, r, _, T in cases:
+        p, kp = _sampled(family, n, r, T, sample)
+        out = koornwinder_apply(p, kp)
+        assert out.terms == field_koornwinder_apply(p, kp).terms
+        assert all(type(c) is F for c in out.terms.values())
+
+
+@pytest.mark.parametrize("family,n,r", [("D", 2, 3), ("D", 3, 2), ("C", 2, 3)])
+def test_ring_kernel_matches_field_oracle_off_eigenfunctions(family, n, r):
+    # the orbit-sum perturbation of test_orbit_sum_perturbation_rejected
+    p, kp = _sampled(family, n, r, T_SPECIAL if family == "C" else None, _EIGEN_SAMPLES[0])
+    for i in range(n):
+        e = tuple(1 if k == i else 0 for k in range(n))
+        p = p + LaurentPoly(n, {e: F(1), tuple(-x for x in e): F(1)})
+    assert koornwinder_apply(p, kp).terms == field_koornwinder_apply(p, kp).terms
+
+
+def test_ring_kernel_matches_field_oracle_symbolic():
+    p = tableau_poly_D(2, 2)
+    kp = bc_specialize(ONE, ONE, Q, T)
+    out, expect = koornwinder_apply(p, kp), field_koornwinder_apply(p, kp)
+    assert out.support() == expect.support() and out == expect
+
+
+def test_asymmetric_input_raises_in_kernel_and_oracle():
+    kp = bc_specialize(F(1), F(1), F(4, 9), F(2, 5))
+    lopsided = LaurentPoly(2, {(1, 0): F(1)})
+    for apply in (koornwinder_apply, field_koornwinder_apply):
+        with pytest.raises(NonLaurentResultError):
+            apply(lopsided, kp)

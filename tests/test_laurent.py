@@ -98,21 +98,51 @@ def test_divide_exact_round_trip():
         c = F(rng.choice((-1, 1)) * rng.randrange(1, 6), rng.randrange(1, 6))
         prod = p * (LaurentPoly.one(2, F(1)) - LaurentPoly.monomial(2, e, c))
         if e > (0, 0):
-            assert divide_exact(prod, c, e) == p
+            assert LaurentPoly(2, divide_exact(prod.terms, c, 1, e)) == p
         else:
             flipped += 1
             unit = LaurentPoly.monomial(2, e, -c)
-            assert divide_exact(prod, 1 / c, tuple(-v for v in e)) == p * unit
+            assert LaurentPoly(2, divide_exact(prod.terms, 1 / c, 1, tuple(-v for v in e))) \
+                == p * unit
     assert flipped
 
 
 def test_divide_exact_remainder_raises():
     with pytest.raises(NonLaurentResultError):
-        divide_exact(x(0, 1) + LaurentPoly.one(1, F(3)), F(-1), (1,))
+        divide_exact((x(0, 1) + LaurentPoly.one(1, F(3))).terms, F(-1), 1, (1,))
     # 1 + x1 over 1 - 2 x2: every x2^k stays below x1 in lex order, so only
     # the exponent box ends this division
     with pytest.raises(NonLaurentResultError):
-        divide_exact(x(0, 2) + LaurentPoly.one(2, F(1)), F(2), (0, 1))
+        divide_exact((x(0, 2) + LaurentPoly.one(2, F(1))).terms, F(2), 1, (0, 1))
+
+
+def test_divide_exact_over_the_integers_round_trip():
+    # (p * (cd - cn x^e)) / (cd - cn x^e) == p with integer coefficients
+    # throughout, for coprime cn, cd
+    rng = random.Random(5)
+    for _ in range(40):
+        p = rnd_laurent(rng).map_coefficients(int)
+        e = (rng.randrange(0, 3), rng.randrange(-2, 3))
+        if e <= (0, 0):
+            continue
+        cn, cd = rng.choice([(1, 1), (-3, 2), (5, 7), (2, 9), (-1, 4)])
+        prod = p * (LaurentPoly.one(2, cd) - LaurentPoly.monomial(2, e, cn))
+        quo = divide_exact(prod.terms, cn, cd, e)
+        assert quo == p.terms
+        assert all(type(v) is int for v in quo.values())
+
+
+def test_divide_exact_integer_remainder_raises():
+    # 1 + x1 over 2 - x1: the first quotient 1/2 is no integer, inside the
+    # exponent box; 2 - x1 is primitive, so no rational quotient exists either
+    one_plus_x = {(0,): 1, (1,): 1}
+    with pytest.raises(NonLaurentResultError):
+        divide_exact(one_plus_x, 1, 2, (1,))
+    # 1 + 2 x1 - x1^2 over 2 - x1: a truncated first quotient would leave a
+    # remainder inside the box, and the peel would end at x1
+    with pytest.raises(NonLaurentResultError):
+        divide_exact({(0,): 1, (1,): 2, (2,): -1}, 1, 2, (1,))
+    assert divide_exact({(0,): 2, (1,): 1, (2,): -1}, 1, 2, (1,)) == one_plus_x
 
 
 def test_str_and_parse_fraction():

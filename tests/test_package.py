@@ -1,6 +1,11 @@
+import functools
+import importlib
+import runpy
+from pathlib import Path
 from types import ModuleType
 
 import cdmac
+from cdmac import koornwinder, laurent
 
 
 def test_all_is_public_api_only():
@@ -9,3 +14,15 @@ def test_all_is_public_api_only():
     oracles = {"g_series_from_product", "eigenvalue_bracket_form", "surviving_tuples",
                "prs_gcd", "prs_lowest_terms"}
     assert not oracles & set(cdmac.__all__)
+
+
+def test_traced_layers_keep_their_names():
+    # perfbench/spans.py looks each traced layer up by module and name with
+    # getattr, so `--trace 1` would crash on a renamed one
+    assert callable(laurent.divide_exact)
+    assert callable(koornwinder.koornwinder_apply)
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"))
+    for mod, attrs in spans["SPANS"].values():
+        owner = importlib.import_module(f"cdmac.{mod}")
+        for qual in attrs:
+            assert callable(functools.reduce(getattr, qual.split("."), owner)), (mod, qual)

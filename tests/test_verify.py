@@ -72,3 +72,18 @@ def test_lassalleC_builds_each_g_row_once(monkeypatch):
     assert verify.run_suite("lassalleC", seed=0, n_max=2, r_max=2).passed
     # four general-T values read each row of n = 2
     assert sorted(calls) == [(2, 0), (2, 1), (2, 2)]
+
+
+def test_lassalleC_builds_each_special_polynomial_once(monkeypatch):
+    calls = []
+    real = macdonald.tableau_poly_C_special
+
+    def counting(n, r):
+        calls.append((n, r))
+        return real(n, r)
+    monkeypatch.setattr(macdonald, "tableau_poly_C_special", counting)
+    # the general-T instances build no special-T polynomial: leave them out
+    monkeypatch.setattr(verify, "_general_T_values", lambda: [])
+    assert verify.run_suite("lassalleC", seed=0).passed
+    # 15 calls at the default n <= 3, r <= 4, one per (n, r)
+    assert sorted(calls) == [(n, r) for n in range(1, 4) for r in range(5)]
