@@ -16,6 +16,14 @@ this module and the package does not export it.
     them over the coefficient ring and divides with laurent.divide_exact
     (tests/test_koornwinder.py, tests/test_independence.py).  Both read the
     operator's binomials from koornwinder._directions.
+  * field_qpoch, field_series_eval -- the q-shifted factorial and the
+    terminating series with every step a field operation (a reduced
+    Fraction for sampled input), against qseries.qpoch and
+    qseries.series_eval, which run on unreduced integer pairs and build one
+    Fraction at the end (tests/test_qseries.py, tests/test_independence.py).
+    field_series_eval expands a W-series and finds the termination order
+    with its own copies of the template and the search, and it evaluates at
+    e = 0 directly: it knows no limit exponents (HypSeriesSpec.eps).
   * surviving_tuples -- the support of the full (2l)^r correlation
     enumeration, against the one-row tableaux that the 'tableau' path of
     walgebra.phi_principal enumerates
@@ -44,10 +52,11 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, prod
 
-from .errors import NonLaurentResultError
+from .errors import NonLaurentResultError, PoleError, UsageError
 from .koornwinder import KoornwinderParams, _directions
 from .laurent import LaurentPoly
 from .poly import _MASK, _SHIFT_U, _SHIFT_V, SparsePoly, _grlex, _unpack
+from .qseries import HypSeriesSpec, SqrtPair
 from .scalar import Scalar, field_sqrt
 from .walgebra import GammaTable, _kernel_product, _letter_tuples, _principal_spec
 
@@ -226,6 +235,107 @@ def field_koornwinder_apply(p: LaurentPoly, kp: KoornwinderParams) -> LaurentPol
     for c, e in lcd:
         total = field_divide_exact(total, c, e)
     return total.scale(1 / (kp.alpha * kp.t ** (n - 1)))
+
+
+def field_qpoch(z, q, k: int):
+    """q-shifted factorial (z;q)_k, k any integer.
+
+    k >= 0: prod_{j=0}^{k-1} (1 - q^j z);  k < 0: 1 / prod_{j=1}^{-k} (1 - z/q^j).
+    """
+    one = q ** 0
+    if k >= 0:
+        out = one
+        zj = z
+        for _ in range(k):
+            out = out * (1 - zj)
+            zj = zj * q
+        return out
+    out = one
+    zj = z
+    for _ in range(-k):
+        zj = zj / q
+        f = 1 - zj
+        if f == 0:
+            raise PoleError("vanishing factor in a negative-index q-shifted factorial")
+        out = out * f
+    return one / out
+
+
+def _field_expand_w(spec: HypSeriesSpec) -> HypSeriesSpec:
+    """Rewrite an (r+1)W_r spec as its (r+1)phi_r template."""
+    if spec.kind != "W":
+        return spec
+    q = spec.base
+    a1 = spec.upper[0]
+    rest = spec.upper[1:]
+    up = [a1, SqrtPair(q * q * a1)]
+    lo = [SqrtPair(a1)]
+    qa1 = q * a1
+    for a in rest:
+        up.append(a)
+        if isinstance(a, SqrtPair):
+            lo.append(SqrtPair(qa1 * qa1 / a.val))
+        else:
+            lo.append(qa1 / a)
+    return HypSeriesSpec(tuple(up), tuple(lo), q, spec.argument, "phi")
+
+
+def _field_termination_order(spec: HypSeriesSpec, cap: int = 128) -> int:
+    """Smallest N with an upper parameter equal to q^(-N)."""
+    spec = _field_expand_w(spec)
+    q = spec.base
+    pw = 1
+    for n in range(cap + 1):
+        for u in spec.upper:
+            if isinstance(u, SqrtPair):
+                if u.val == pw * pw:
+                    return n
+            elif u == pw:
+                return n
+        pw = pw / q
+    raise UsageError("series does not terminate (no upper parameter q^-N found)")
+
+
+def field_series_eval(spec: HypSeriesSpec, nterms: int | None = None):
+    """Exact finite sum of a terminating series.
+
+    Raises PoleError when a lower-parameter factor vanishes at an index where
+    the numerator is still nonzero.
+    """
+    spec = _field_expand_w(spec)
+    q = spec.base
+    z = spec.argument
+    N = _field_termination_order(spec) if nterms is None else nterms
+    one = q ** 0
+    total = 0
+    num = one
+    den = one
+    zpow = one
+    qn = one    # q^(n-1) while processing term n
+    q2n = one   # q^(2(n-1))
+    for n in range(N + 1):
+        if n > 0:
+            for u in spec.upper:
+                if isinstance(u, SqrtPair):
+                    num = num * (1 - q2n * u.val)
+                else:
+                    num = num * (1 - qn * u)
+            if num == 0:
+                break
+            den_step = 1 - qn * q  # the (q;q)_n factor
+            for l in spec.lower:
+                if isinstance(l, SqrtPair):
+                    den_step = den_step * (1 - q2n * l.val)
+                else:
+                    den_step = den_step * (1 - qn * l)
+            if den_step == 0:
+                raise PoleError(f"lower-parameter factor vanishes at term {n}")
+            den = den * den_step
+            zpow = zpow * z
+            qn = qn * q
+            q2n = q2n * q * q
+        total = total + num / den * zpow
+    return total
 
 
 def surviving_tuples(family: str, l: int, r: int, budget: int = 50000) -> set:

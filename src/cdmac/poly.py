@@ -215,21 +215,27 @@ class SparsePoly:
         return hash((self.content, frozenset(self.prim.items())))
 
     def eval(self, u: Fraction, v: Fraction, w: Fraction) -> Fraction:
-        """Exact evaluation at rational generator values."""
-        pu: dict[int, Fraction] = {}
-        pv: dict[int, Fraction] = {}
-        pw: dict[int, Fraction] = {}
-        tot = Fraction(0)
-        for k, c in self.prim.items():
-            a, b, cc = _unpack(k)
-            if a not in pu:
-                pu[a] = Fraction(u) ** a
-            if b not in pv:
-                pv[b] = Fraction(v) ** b
-            if cc not in pw:
-                pw[cc] = Fraction(w) ** cc
+        """Exact evaluation at rational generator values.
+
+        The terms are summed over the one common denominator
+        ud^A vd^B wd^C, A, B, C the largest exponents: a term c u^a v^b w^c
+        adds c un^a ud^(A-a) vn^b vd^(B-b) wn^c wd^(C-c), and the sum becomes
+        one Fraction.
+        """
+        if not self.prim:
+            return Fraction(0)
+        exps = [_unpack(k) for k in self.prim]
+        tables, den = [], self.content.denominator
+        for x, column in zip((u, v, w), zip(*exps)):
+            x, top = Fraction(x), max(column)
+            xn, xd = x.numerator, x.denominator
+            tables.append({a: xn ** a * xd ** (top - a) for a in set(column)})
+            den *= xd ** top
+        pu, pv, pw = tables
+        tot = 0
+        for (a, b, cc), c in zip(exps, self.prim.values()):
             tot += c * pu[a] * pv[b] * pw[cc]
-        return tot * self.content
+        return Fraction(tot * self.content.numerator, den)
 
     # -- serialization -----------------------------------------------------
 

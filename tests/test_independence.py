@@ -4,17 +4,22 @@ The tableau, inversion and principal correlation routes all sum factored
 products with macdonald._from_terms / sum_factored, so a fault there could
 make them agree by construction.  Each test plants one fault, checks that it
 fired, and checks that a certificate which does not run the faulted code
-sees it.  The last two plant faults in the Koornwinder eigen certificate:
-its eigenvalue, and the exact coefficient quotient of its ring division.
+sees it.  Two plant faults in the Koornwinder eigen certificate: its
+eigenvalue, and the exact coefficient quotient of its ring division.  The
+last one plants a fault in the q-series kernel that the sampled identity
+suites share.
 """
 
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 import test_factored_eq
+import test_qseries
 
-from cdmac import koornwinder, laurent, macdonald, oracle, poly, scalar, verify, walgebra
+from cdmac import (koornwinder, laurent, macdonald, oracle, poly, qseries, scalar, verify,
+                   walgebra)
 from cdmac.cli import main
 from cdmac.errors import NonLaurentResultError
 from cdmac.koornwinder import bc_specialize, koornwinder_apply
@@ -310,3 +315,32 @@ def test_truncating_quotient_in_the_kernel(monkeypatch):
                      # the box check of a later peel still refuses it
                      "non-clearing rank-1 input raises": True,
                      "divide_exact remainder raises": False}
+
+
+def test_dropped_last_term_in_the_series_kernel(monkeypatch):
+    fired = []
+    real = qseries._horner
+
+    def drop_last_ratio(ratios):
+        if ratios:
+            fired.append(len(ratios))
+            ratios = ratios[:-1]
+        return real(ratios)
+    monkeypatch.setattr(qseries, "_horner", drop_last_ratio)
+    rng = random.Random(7)
+    specs = [test_qseries.random_spec(rng) for _ in range(20)]
+
+    def agree(spec, nterms):
+        return test_qseries._outcome(qseries.series_eval, spec, nterms) == \
+            test_qseries._outcome(oracle.field_series_eval, spec, nterms)
+    certs = {"field oracle agreement": all(agree(*s) for s in specs),
+             **{suite: verify.run_suite(suite, seed=0, samples=5).passed
+                for suite in ("classical", "thm22", "transformII", "transformIII")}}
+    assert fired
+    # the oracle sums in the field, with no _horner; the multivariate
+    # transformations build no terminating series
+    assert certs == {"field oracle agreement": False,
+                     "classical": False,
+                     "thm22": False,
+                     "transformII": True,
+                     "transformIII": True}

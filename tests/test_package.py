@@ -1,3 +1,4 @@
+import ast
 import functools
 import importlib
 import runpy
@@ -12,8 +13,24 @@ def test_all_is_public_api_only():
     assert not [name for name in cdmac.__all__
                 if isinstance(getattr(cdmac, name), ModuleType)]
     oracles = {"g_series_from_product", "eigenvalue_bracket_form", "surviving_tuples",
-               "prs_gcd", "prs_lowest_terms"}
+               "prs_gcd", "prs_lowest_terms", "field_series_eval", "field_qpoch"}
     assert not oracles & set(cdmac.__all__)
+
+
+def test_no_program_module_imports_the_oracles():
+    # perfbench re-imports the program modules to time set-up, and the
+    # oracles must stay off that path and out of every compute path
+    for path in Path(cdmac.__file__).parent.glob("*.py"):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any("oracle" in name for name in names), path.name
 
 
 def test_traced_layers_keep_their_names():

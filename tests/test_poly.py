@@ -5,7 +5,7 @@ import pytest
 
 from cdmac.errors import UsageError
 from cdmac.oracle import _dict_exact_div, _exact_poly_div, prs_gcd
-from cdmac.poly import Mon, SparsePoly, line_div, poly_gcd
+from cdmac.poly import Mon, SparsePoly, _unpack, line_div, poly_gcd
 
 
 def rnd_poly(rng, nterms=4, deg=5):
@@ -66,6 +66,35 @@ def test_eval_matches_termwise():
         p = rnd_poly(rng)
         expect = sum(c * u ** a * v ** b * w ** e for (a, b, e), c in p.terms().items())
         assert p.eval(u, v, w) == expect
+
+
+def _eval_termwise(p: SparsePoly, u, v, w):
+    """SparsePoly.eval as it was: three Fraction products and one Fraction
+    sum per term."""
+    tot = F(0)
+    for key, c in p.prim.items():
+        a, b, cc = _unpack(key)
+        tot += c * F(u) ** a * F(v) ** b * F(w) ** cc
+    return tot * p.content
+
+
+def test_eval_over_one_denominator_on_laurent_coefficients():
+    # coefficients with monomial and binomial denominators, so negative
+    # exponents in q, t and T, at signed, zero and integer sample points
+    from cdmac.macdonald import tableau_poly
+    from cdmac.scalar import Scalar
+    coeffs = [c for T in (Mon.T(), Mon.t(2) * Mon.q(-1))
+              for c in tableau_poly("C", 2, 3, T).terms.values()]
+    coeffs.append(Scalar.from_mon(Mon(F(-3, 4), (-2, 1, -3))))
+    points = [(F(2, 3), F(3, 5), F(5, 7)), (F(-3, 4), F(2, 7), F(1)),
+              (F(0), F(5, 2), F(-1, 3)), (F(3), F(1, 2), F(0))]
+    for c in coeffs:
+        for pt in points:
+            num, den = _eval_termwise(c.num, *pt), _eval_termwise(c.den, *pt)
+            assert c.num.eval(*pt) == num and c.den.eval(*pt) == den
+            if den:
+                assert c.eval(*pt) == num / den
+    assert SparsePoly.zero().eval(F(1), F(2), F(3)) == 0
 
 
 def test_mon_arithmetic():

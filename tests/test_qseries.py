@@ -241,7 +241,10 @@ def test_transform_rhs_symmetric_in_m():
 def test_transform_II_denominator_reading():
     """The left side's pole-factor exponent must carry the m-sums, not the
     phi-sums: the misread variant fails on a generic instance."""
-    from cdmac.qseries import _ratio_tt_qq, _compositions, _rhs_product_sum
+    from cdmac.qseries import _compositions, _rhs_product_sum
+
+    def ratio_tt_qq(q, t, k, m):
+        return qpoch(t, q, k) * qpoch(t, q, k + m) / (qpoch(q, q, k) * qpoch(q, q, m + k))
 
     def lhs_misread(n, K, m, q, t):
         mln = lambda l: sum(m[l - 1:n])
@@ -253,7 +256,7 @@ def test_transform_II_denominator_reading():
             for l in range(1, n):
                 pl = phi[l - 1]
                 p2 = 2 * sum(phi[l:n - 1])
-                term = term * _ratio_tt_qq(q, t, pl, m[l - 1])
+                term = term * ratio_tt_qq(q, t, pl, m[l - 1])
                 term = term * qpoch(t ** (n - l - 1) * q ** (pl + p2 + mln(l) + 1), q, pl) \
                     * qpoch(t ** (n - l) * q ** (p2 + mln(l + 1)), q, pl) \
                     / (qpoch(t ** (n - l) * q ** (pl + p2 + phi_ln(l)), q, pl)
@@ -274,3 +277,160 @@ def test_transform_usage_errors():
         verify_transform_II(1, 1, [0], Q0, T0)
     with pytest.raises(UsageError):
         verify_transform_III(2, 1, [0], Q0, T0)
+
+
+# -- the fraction-free kernel against the field oracles -----------------------
+
+def _param(rng, q):
+    """A pool value, a power q^-j (a terminator, or a pole as a lower
+    parameter), or a SqrtPair of either."""
+    x = rng.choice(POOL) if rng.random() < 0.7 else q ** -rng.randrange(0, 4)
+    return SqrtPair(x) if rng.random() < 0.25 else x
+
+
+def random_spec(rng):
+    """A small phi or W spec and an nterms (None: the termination order)."""
+    q = rng.choice(POOL)
+    z = F(0) if rng.random() < 0.15 else rng.choice(POOL) * rng.choice((1, -1))
+    nterms = rng.randrange(0, 6) if rng.random() < 0.25 else None
+    N = rng.randrange(0, 5)
+    if rng.random() < 0.5:
+        # without q^-N the series may not terminate (UsageError) unless
+        # nterms is given
+        upper = [q ** -N] * (rng.random() < 0.7) + [_param(rng, q) for _ in range(3)]
+        rng.shuffle(upper)
+        lower = [_param(rng, q) for _ in range(rng.randrange(0, 3))]
+        return HypSeriesSpec(tuple(upper), tuple(lower), q, z), nterms
+    a1 = rng.choice(POOL)
+    rest = [q ** -N] + [_param(rng, q) for _ in range(rng.randrange(0, 3))]
+    if rng.random() < 0.3:  # a lower factor q*a1/a vanishes at term j+1
+        rest.append(a1 * q ** (rng.randrange(0, 3) + 1))
+    rng.shuffle(rest)
+    return HypSeriesSpec((a1, *rest), (), q, z, "W"), nterms
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PoleError, UsageError) as exc:
+        return type(exc)
+
+
+def test_series_kernel_matches_field_oracle():
+    from cdmac.oracle import field_series_eval
+    rng = random.Random(2024)
+    seen = {"W": 0, "SqrtPair": 0, "zero z": 0, "nterms": 0, PoleError: 0, UsageError: 0}
+    for _ in range(240):
+        spec, nterms = random_spec(rng)
+        got = _outcome(series_eval, spec, nterms)
+        assert got == _outcome(field_series_eval, spec, nterms), spec
+        seen["W"] += spec.kind == "W"
+        seen["SqrtPair"] += any(isinstance(p, SqrtPair) for p in spec.upper + spec.lower)
+        seen["zero z"] += spec.argument == 0
+        seen["nterms"] += nterms is not None
+        if got in (PoleError, UsageError):
+            seen[got] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_qpoch_kernel_matches_field_oracle():
+    from cdmac.oracle import field_qpoch
+    rng = random.Random(2025)
+    poles = negative = 0
+    for _ in range(240):
+        q = rng.choice(POOL)
+        z = rng.choice(POOL) if rng.random() < 0.7 else q ** rng.randrange(1, 4)
+        k = rng.randrange(-4, 6)
+        got = _outcome(qpoch, z, q, k)
+        assert got == _outcome(field_qpoch, z, q, k), (z, q, k)
+        poles += got is PoleError
+        negative += k < 0
+    assert poles >= 5 and negative >= 50
+
+
+@pytest.mark.parametrize("suite", ["classical", "transformII"])
+def test_suite_bytes_unchanged_on_field_oracles(monkeypatch, capsys, suite):
+    # the kernel's q-shifted factorial sits under qpoch, qpoch_multi and the
+    # transforms' factorial table, so the oracle goes in below all three
+    from cdmac import oracle, qseries
+    from cdmac.cli import main
+    argv = ["verify", "--suite", suite, "--seed", "0", "--samples", "30"]
+    assert main(argv) == 0
+    fast = capsys.readouterr().out
+    calls = []
+
+    def field_pair(zn, zd, qn, qd, k):
+        calls.append(k)
+        return oracle.field_qpoch(F(zn, zd), F(qn, qd), k), 1
+
+    def field_series(spec, nterms=None):
+        calls.append(spec)
+        return oracle.field_series_eval(spec, nterms)
+    monkeypatch.setattr(qseries, "_qpoch_pair", field_pair)
+    monkeypatch.setattr(qseries, "series_eval", field_series)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fast
+    assert calls
+
+
+# -- exact limits ---------------------------------------------------------------
+
+def _limit_spec(x, y, eps, q=Q0, z=F(3, 4)):
+    """2phi1[q^-2, x; y; q, z] with exponents (0, *eps)."""
+    return HypSeriesSpec((q ** -2, x), (y,), q, z, eps=(0, *eps) if eps else ())
+
+
+def test_limit_of_a_zero_over_zero_term():
+    # x = x0 (1+e)^a and y = y0 (1+e)^b with x0 = y0 = 1: the first factors
+    # vanish together, their ratio tends to a/b, and the second ones are
+    # 1 - q over 1 - q
+    from cdmac.oracle import field_series_eval
+    q, z = Q0, F(3, 4)
+    for a, b in [(1, 1), (2, -1), (-3, 2)]:
+        t1 = (1 - q ** -2) / (1 - q) * F(a, b) * z
+        expect = 1 + t1 + t1 * (1 - q ** -1) / (1 - q * q) * z
+        got = series_eval(_limit_spec(F(1), F(1), (a, b)))
+        assert got == expect
+        e = F(1, 10 ** 12)  # the family itself, near e = 0
+        near = field_series_eval(_limit_spec((1 + e) ** a, (1 + e) ** b, ()))
+        assert abs(near - got) < F(1, 10 ** 9)
+
+
+def test_limit_orders():
+    # an upper factor that vanishes only at e = 0: every later term is O(e)
+    assert series_eval(_limit_spec(F(1), F(1, 2), (1, 0))) == 1
+    # a lower one alone: a pole of the limit
+    with pytest.raises(PoleError):
+        series_eval(_limit_spec(F(1, 2), F(1), (0, 1)))
+    # an upper factor that is zero for every e truncates, as without eps
+    assert series_eval(_limit_spec(F(1), F(1), (0, 1))) == 1
+    with pytest.raises(UsageError):
+        HypSeriesSpec((Q0,), (), Q0, F(1), eps=(0, 0))
+
+
+# the thm_2_2 samples with f = a q^m that the e = 0 evaluation got wrong:
+# verify --suite thm22 --samples 500 at seed 0 (m = 1), 5 (m = 2), 12 (m = 3)
+# and 27 (m = 2)
+THM22_DEGENERATE = [
+    (F(5, 7), F(3, 7), F(7, 9), F(3, 5), 2, 1),
+    (F(9, 11), F(5, 11), F(7, 9), F(5, 9), 4, 1),
+    (F(2, 3), F(2, 5), F(5, 7), F(3, 5), 1, 1),
+    (F(9, 13), F(2, 13), F(2, 5), F(2, 9), 5, 1),
+    (F(2, 3), F(3, 8), F(7, 9), F(3, 4), 3, 2),
+    (F(2, 3), F(3, 8), F(5, 13), F(3, 4), 4, 2),
+    (F(3, 4), F(2, 9), F(7, 13), F(2, 3), 4, 3),
+]
+
+
+@pytest.mark.parametrize("a,f,a2,q,theta,m", THM22_DEGENERATE)
+def test_thm22_degenerate_samples(monkeypatch, a, f, a2, q, theta, m):
+    from cdmac import oracle, qseries
+    from cdmac.verify import _corrupted_residual
+    assert f == a * q ** m
+    inst = TransformInstance("thm_2_2", {"a": a, "f": f, "a2": a2, "a3": a * f / a2,
+                                         "q": q, "theta": theta})
+    assert verify_identity(inst) == 0
+    assert _corrupted_residual(inst) != 0
+    # evaluated at e = 0 directly, the W-series stops at its 0/0 term
+    monkeypatch.setattr(qseries, "series_eval", oracle.field_series_eval)
+    assert verify_identity(inst) != 0
