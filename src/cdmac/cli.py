@@ -47,9 +47,7 @@ def _compute(args) -> tuple[int, str]:
     if macdonald._T_reach(args.r, Tm) > _MASK:  # checked before any route starts work
         raise UsageError(f"T = {args.T} takes generator exponents at r = {args.r} past "
                          "the 20-bit packing range [0, 2^20)")
-    count = count_closed_form(family, args.n, args.r)
-    if count > args.budget:  # checked before any route starts work
-        raise UsageError(f"{count} tableaux exceed the budget {args.budget}")
+    _check_budget(args)  # before any route starts work
     if args.via == "tableau":
         p = macdonald.tableau_poly(family, args.n, args.r, T)
     elif args.via == "lassalle":
@@ -96,7 +94,15 @@ def _verify(args) -> tuple[int, str]:
             json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
+def _check_budget(args):
+    """The closed-form tableau count against --budget, before any work."""
+    count = count_closed_form(args.family, args.n, args.r)
+    if count > args.budget:
+        raise UsageError(f"{count} tableaux exceed the budget {args.budget}")
+
+
 def _tableaux(args) -> tuple[int, str]:
+    _check_budget(args)
     alpha = Alphabet(args.family, args.n)
     rows = [list(t.theta) for t in enumerate_tableaux(alpha, args.r)]
     doc = {"schema": 1, "family": args.family, "n": args.n, "r": args.r,
@@ -161,6 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--family", choices=("C", "D"), required=True)
     pt.add_argument("--n", type=int, required=True)
     pt.add_argument("--r", type=int, required=True)
+    pt.add_argument("--budget", type=int, default=50000)
     pt.set_defaults(fn=_tableaux)
     return ap
 

@@ -210,11 +210,12 @@ class LaurentPoly:
         text = text.strip()
         if text == "0":
             return cls(rank)
-        out = cls(rank)
+        terms = {}  # one dict of weights; a repeated weight adds up
         for sign, chunk in _split_signed(text):
             coeff, mono = _parse_lterm(chunk, rank, field)
-            out = out + cls(rank, {mono: coeff * (Scalar.of(sign) if field == "scalar" else Fraction(sign))})
-        return out
+            coeff = coeff if sign > 0 else -coeff
+            terms[mono] = terms[mono] + coeff if mono in terms else coeff
+        return cls(rank, terms)
 
     def to_json(self) -> dict:
         terms = []
@@ -325,10 +326,7 @@ def _balanced_end(text: str, start: int) -> int:
 def _parse_lterm(chunk: str, rank: int, field: str):
     chunk = chunk.strip()
     exps = [0] * rank
-    if field == "scalar":
-        coeff = Scalar.one()
-    else:
-        coeff = Fraction(1)
+    coeff = None  # a coefficient of 1 until a factor comes
     i = 0
     while i < len(chunk):
         if chunk[i] == "(":
@@ -337,9 +335,10 @@ def _parse_lterm(chunk: str, rank: int, field: str):
                 j = _balanced_end(chunk, j + 2)
             piece = chunk[i:j + 1]
             if field == "scalar":
-                coeff = coeff * Scalar.parse(piece if ")/(" in piece else piece[1:-1])
+                factor = Scalar.parse(piece if ")/(" in piece else piece[1:-1])
             else:
-                coeff = coeff * Fraction(piece.strip("()"))
+                factor = Fraction(piece.strip("()"))
+            coeff = factor if coeff is None else coeff * factor
             i = j + 1
         elif chunk[i] == "x":
             j = i + 1
@@ -365,8 +364,11 @@ def _parse_lterm(chunk: str, rank: int, field: str):
             while j < len(chunk) and chunk[j] != "*":
                 j += 1
             piece = chunk[i:j]
-            coeff = coeff * (Scalar.parse(piece) if field == "scalar" else Fraction(piece))
+            factor = Scalar.parse(piece) if field == "scalar" else Fraction(piece)
+            coeff = factor if coeff is None else coeff * factor
             i = j
+    if coeff is None:
+        coeff = Scalar.one() if field == "scalar" else Fraction(1)
     return coeff, tuple(exps)
 
 

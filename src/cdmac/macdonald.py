@@ -88,10 +88,21 @@ def _from_terms(n: int, terms) -> LaurentPoly:
     return LaurentPoly(n, out)
 
 
-def _letter_factors(fs: FactoredScalar, counts) -> FactoredScalar:
-    """Multiply by (t;q)_k / (q;q)_k for every letter count k."""
+def _letter_block(k: int) -> FactoredScalar:
+    """The letter block (t;q)_k / (q;q)_k."""
+    return FactoredScalar().times_poch(Mon.t(), k).div_poch(Mon.q(), k)
+
+
+def _letter_factors(fs: FactoredScalar, counts, blocks: dict) -> FactoredScalar:
+    """Multiply by (t;q)_k / (q;q)_k for every letter count k.  blocks maps
+    k to its block: each is built once, into the dict of the term generator
+    that owns it, and merged into every term that has a letter count k."""
     for k in counts:
-        fs.times_poch(Mon.t(), k).div_poch(Mon.q(), k)
+        if k:
+            block = blocks.get(k)
+            if block is None:
+                block = blocks[k] = _letter_block(k)
+            fs.times(block)
     return fs
 
 
@@ -103,11 +114,12 @@ def _tq(a: int, b: int) -> Mon:
 # generating series
 # ---------------------------------------------------------------------------
 
-def _g_terms(n: int, r: int):
-    """(weight, coefficient) per weak composition of r: the terms of G_r."""
+def _g_terms(n: int, r: int, blocks: dict):
+    """(weight, coefficient) per weak composition of r: the terms of G_r.
+    blocks is the letter-block dict of _letter_factors."""
     alpha = Alphabet("C", n)  # no occupancy constraint in G_r
     for tab in enumerate_tableaux(alpha, r):
-        yield tab.weight(), _letter_factors(FactoredScalar(), tab.theta)
+        yield tab.weight(), _letter_factors(FactoredScalar(), tab.theta, blocks)
 
 
 def g_series(n: int, r: int) -> LaurentPoly:
@@ -115,7 +127,7 @@ def g_series(n: int, r: int) -> LaurentPoly:
     ((u x_i;q)oo (u/x_i;q)oo): a sum over all weak compositions of r."""
     if n < 1 or r < 0:
         raise UsageError("need n >= 1, r >= 0")
-    return _from_terms(n, _g_terms(n, r))
+    return _from_terms(n, _g_terms(n, r, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +140,10 @@ def _prefactor(fs: FactoredScalar, r: int) -> FactoredScalar:
 
 def _terms_D(n: int, r: int):
     """(weight, coefficient) per type-D tableau."""
+    blocks = {}
     for tab in enumerate_tableaux(Alphabet("D", n), r):
         th = tab.theta
-        fs = _letter_factors(_prefactor(FactoredScalar(), r), th)
+        fs = _letter_factors(_prefactor(FactoredScalar(), r), th, blocks)
         for l in range(1, n):
             S = sum(th[l - 1:2 * n - l])
             Sp = sum(th[l:2 * n - l])
@@ -144,9 +157,10 @@ def _terms_D(n: int, r: int):
 
 def _terms_C_special(n: int, r: int):
     """(weight, coefficient) per type-C tableau at T = t^2/q."""
+    blocks = {}
     for tab in enumerate_tableaux(Alphabet("C", n), r):
         th = tab.theta
-        fs = _letter_factors(_prefactor(FactoredScalar(), r), th)
+        fs = _letter_factors(_prefactor(FactoredScalar(), r), th, blocks)
         for l in range(1, n + 1):
             S = sum(th[l - 1:2 * n - l])
             Sp = sum(th[l:2 * n - l])
@@ -160,12 +174,14 @@ def _terms_C_special(n: int, r: int):
 
 def _terms_C_general(n: int, r: int, Tm: Mon):
     """(weight, coefficient) per type-C tableau, free T."""
+    blocks = {}
     for tab in enumerate_tableaux(Alphabet("C", n), r):
         th = tab.theta
         thn, thnb = th[n - 1], th[n]
         theta = min(thn, thnb)
         d = abs(thn - thnb)
-        fs = _letter_factors(_prefactor(FactoredScalar(), r), th[:n - 1] + th[n + 1:] + (d,))
+        fs = _letter_factors(_prefactor(FactoredScalar(), r),
+                             th[:n - 1] + th[n + 1:] + (d,), blocks)
         for l in range(1, n):
             S = sum(th[l - 1:n - 1]) + d + sum(th[n + 1:2 * n - l])
             Sp = sum(th[l:n - 1]) + d + sum(th[n + 1:2 * n - l])
@@ -257,10 +273,11 @@ def _invert_terms(n: int, r: int, Tm: Mon):
     """(weight, coefficient) of pref * c_i * G_(r-2i) per composition and i,
     c_i the coefficient of G_(r-2i) in the inverse expansion.  The
     composition-free block of each i is built once and merged into every
-    G_(r-2i) term."""
+    G_(r-2i) term, and every row shares one letter-block dict."""
+    letters = {}
     for i in range(r // 2 + 1):
         block = _invert_block(n, r, i, Tm)
-        for w, fs in _g_terms(n, r - 2 * i):
+        for w, fs in _g_terms(n, r - 2 * i, letters):
             yield w, fs.times(block)
 
 

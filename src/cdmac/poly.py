@@ -18,6 +18,7 @@ u > v > w, and it fixes both the leading term and the serialization.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
@@ -98,12 +99,14 @@ class SparsePoly:
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[int, int, int], Fraction]) -> "SparsePoly":
-        acc = cls.zero()
-        for (eu, ev, ew), c in terms.items():
-            if any(e < 0 for e in (eu, ev, ew)):
-                raise ValueError("SparsePoly exponents must be nonnegative")
-            acc = acc + cls(Fraction(c), {_pack(eu, ev, ew): 1})
-        return acc
+        """The polynomial sum c * u^eu v^ev w^ew over terms, built as one
+        integer dict over the common denominator and normalized once."""
+        if any(e < 0 for exps in terms for e in exps):
+            raise ValueError("SparsePoly exponents must be nonnegative")
+        coefs = {_pack(*exps): Fraction(c) for exps, c in terms.items() if c}
+        scale = lcm(*(c.denominator for c in coefs.values()))
+        return cls(Fraction(1, scale),
+                   {k: c.numerator * (scale // c.denominator) for k, c in coefs.items()})
 
     @classmethod
     def from_mon(cls, m: "Mon") -> "SparsePoly":
@@ -272,9 +275,9 @@ class SparsePoly:
         text = text.strip()
         if text == "0":
             return cls.zero()
-        terms: dict[tuple[int, int, int], Fraction] = {}
+        terms: dict[tuple[int, int, int], Fraction | int] = {}
         for sign, chunk in _split_signed(text):
-            coef = Fraction(sign)
+            coef = sign  # an int until a fraction factor comes
             exps = [0, 0, 0]
             for factor in chunk.split("*"):
                 factor = factor.strip()
@@ -286,10 +289,10 @@ class SparsePoly:
                     exps[gi] += e
                 else:
                     num, _, den = factor.partition("/")
-                    coef *= Fraction(int(num), int(den) if den else 1)
+                    coef *= Fraction(int(num), int(den)) if den else int(num)
             key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coef
-        return cls.from_terms({k: c for k, c in terms.items() if c})
+            terms[key] = terms[key] + coef if key in terms else coef
+        return cls.from_terms(terms)
 
 
 def _gen_index(tok: str):
@@ -299,33 +302,32 @@ def _gen_index(tok: str):
     return None
 
 
+_SPLIT_TOKENS = re.compile(r"[({\[\]})]|(?<= )[+-](?= )")
+
+
 def _split_signed(text: str):
-    """Split 'a + b - c' into [(+1,'a'), (+1,'b'), (-1,'c')], braces-aware."""
+    """Split 'a + b - c' into [(+1,'a'), (+1,'b'), (-1,'c')], braces-aware:
+    a sign splits only between spaces and outside every bracket."""
     out = []
     sign = 1
-    cur = []
+    start = 0
     depth = 0
-    i = 0
     if text.startswith("-"):
         sign = -1
-        i = 1
+        start = 1
     elif text.startswith("+"):
-        i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch in "({[":
+        start = 1
+    for m in _SPLIT_TOKENS.finditer(text, start):
+        tok = m.group()
+        if tok in "({[":
             depth += 1
-        elif ch in ")}]":
+        elif tok in ")}]":
             depth -= 1
-        if depth == 0 and ch in "+-" and i + 1 < len(text) and text[i - 1] == " " and text[i + 1] == " ":
-            out.append((sign, "".join(cur).strip()))
-            sign = 1 if ch == "+" else -1
-            cur = []
-            i += 2
-            continue
-        cur.append(ch)
-        i += 1
-    out.append((sign, "".join(cur).strip()))
+        elif depth == 0:
+            out.append((sign, text[start:m.start()].strip()))
+            sign = 1 if tok == "+" else -1
+            start = m.end()
+    out.append((sign, text[start:].strip()))
     return out
 
 

@@ -28,11 +28,11 @@ only, so canonical raises ValueError on any other plain Scalar.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from . import poly
 from .errors import PoleError
-from .poly import Mon, SparsePoly
+from .poly import Mon, SparsePoly, _pack
 
 _ZERO_P = SparsePoly.zero()
 _ONE_P = SparsePoly.one()
@@ -456,8 +456,20 @@ class FactoredScalar:
         return sum_factored([self])
 
 
+def _signature(t: FactoredScalar) -> frozenset:
+    """The (key, multiplicity) pairs of a term's binomial factors: terms
+    with equal signatures share their whole LCD cofactor."""
+    return frozenset((key, m) for key, (_, m) in t.factors.items())
+
+
 def sum_factored(terms) -> Scalar:
-    """Sum FactoredScalar terms over their least common denominator."""
+    """Sum FactoredScalar terms over their least common denominator.
+
+    Terms are grouped by _signature.  Each group's coef * x^mexp parts add
+    into one small integer polynomial over the common denominator of all
+    coefficients, which is multiplied by the group's LCD cofactor once; every
+    group lands in one integer dict, normalized once.
+    """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
         return Scalar.zero()
@@ -472,18 +484,34 @@ def sum_factored(terms) -> Scalar:
                 elif need > slot[1]:
                     slot[1] = need
     shift = tuple(min(0, min(t.mexp[i] for t in terms)) for i in range(3))
-    num = SparsePoly.zero()
+    scale = lcm(*(t.coef.denominator for t in terms))
+    groups: dict[frozenset, tuple] = {}
     for t in terms:
-        part = SparsePoly.const(t.coef).shift(tuple(a - b for a, b in zip(t.mexp, shift)))
-        for key, (p, m) in t.factors.items():
-            e = m + lcm_den.get(key, (None, 0))[1]
-            for _ in range(e):
+        sig = _signature(t)
+        group = groups.get(sig)
+        if group is None:
+            group = groups[sig] = (t.factors, {})
+        k = _pack(*(a - b for a, b in zip(t.mexp, shift)))
+        group[1][k] = group[1].get(k, 0) + t.coef.numerator * (scale // t.coef.denominator)
+    acc: dict[int, int] = {}
+    for factors, small in groups.values():
+        # an integer polynomial that need not be primitive: the products
+        # below and acc read only its integer terms
+        part = SparsePoly(Fraction(1), {k: c for k, c in small.items() if c}, _normalized=True)
+        if part.is_zero():
+            continue
+        # the group's cofactor: p^(m + need) for each of its factors, and
+        # p^need for each LCD binomial it lacks
+        for key, (p, m) in factors.items():
+            for _ in range(m + lcm_den.get(key, (None, 0))[1]):
                 part = part * p
         for key, (p, need) in lcm_den.items():
-            if key not in t.factors:
+            if key not in factors:
                 for _ in range(need):
                     part = part * p
-        num = num + part
+        for k, c in part.prim.items():
+            acc[k] = acc.get(k, 0) + c
+    num = SparsePoly(Fraction(1, scale), {k: c for k, c in acc.items() if c})
     if num.is_zero():
         out = _FactoredDenScalar(_ZERO_P, _ONE_P, _normalized=True)
         mono = (0, 0, 0)

@@ -14,7 +14,9 @@ i >= n holds letter (2n-i)bar; so theta[2n-1-k] is the count of letter kbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 
 
 @dataclass(frozen=True)
@@ -64,16 +66,15 @@ def is_valid(t: OneRowTableau, r: int | None = None) -> bool:
 
 
 def _compositions(total: int, parts: int):
+    """Weak compositions of total into parts, in lexicographic order, by
+    stars and bars: the partial sums s_1 <= ... <= s_(parts-1) in [0, total]
+    run in lexicographic order, and so do the differences of 0, s, total."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for s in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, s + (total,), (0,) + s))
 
 
 def enumerate_tableaux(alphabet: Alphabet, r: int) -> list[OneRowTableau]:

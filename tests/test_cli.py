@@ -3,10 +3,16 @@ import json
 import os
 import random
 import sys
+import time
 
 import pytest
+import test_scalar
 
+from cdmac import macdonald
 from cdmac.cli import main
+from cdmac.laurent import LaurentPoly
+from cdmac.poly import SparsePoly
+from cdmac.scalar import Scalar
 
 
 def run(capsys, *argv):
@@ -55,6 +61,56 @@ def test_routes_byte_equal_factored_vs_prs(capsys, case):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def reads_back(capsys, case, fmt) -> bool:
+    """Whether compute's printed output, read back, equals lassalle_invert:
+    text through LaurentPoly.parse, JSON through SparsePoly.parse on each
+    num and den."""
+    family, n, r, T = case
+    args = ["compute", "--family", family, "--n", str(n), "--r", str(r), "--format", fmt]
+    code, out, _ = run(capsys, *args, *(["--T", T] if T else []))
+    assert code == 0
+    if fmt == "text":
+        p = LaurentPoly.parse(n, out)
+    else:
+        p = LaurentPoly(n, {tuple(t["exp"]): Scalar(SparsePoly.parse(t["coeff"]["num"]),
+                                                    SparsePoly.parse(t["coeff"]["den"]))
+                            for t in json.loads(out)["terms"]})
+    return p == macdonald.lassalle_invert(family, n, r, test_scalar._T_VALUES.get(T))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", [("D", 2, 3, None), ("D", 3, 2, None), ("C", 2, 3, "t^2/q"),
+                                  ("C", 2, 3, "symbolic"), ("C", 2, 3, "5/7")],
+                         ids=lambda case: "-".join(map(str, filter(None, case))))
+def test_printed_output_reads_back(capsys, case, fmt):
+    # every case prints polynomials of more than 6 terms
+    assert reads_back(capsys, case, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--family", "D", "--n", "600", "--r", "0"],
+    ["compute", "--family", "D", "--n", "600", "--r", "1", "--via", "lassalle"],
+    ["tableaux", "--family", "D", "--n", "600", "--r", "0"]], ids=" ".join)
+def test_large_rank_runs(capsys, argv):
+    # the composition enumerator keeps no recursion as deep as the rank
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and "Traceback" not in err
+
+
+def test_tableaux_budget_checked_before_any_work(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "tableaux", "--family", "D", "--n", "3", "--r", "200")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err == "usage error: 138743801 tableaux exceed the budget 50000\n"
+    code, out, _ = run(capsys, "tableaux", "--family", "D", "--n", "2", "--r", "2",
+                       "--budget", "9")
+    assert code == 0 and json.loads(out)["count"] == 9
+    code, _, _ = run(capsys, "tableaux", "--family", "D", "--n", "2", "--r", "2",
+                     "--budget", "8")
+    assert code == 2
 
 
 @pytest.mark.parametrize("via", ["tableau", "lassalle", "walgebra"])

@@ -5,9 +5,11 @@ products with macdonald._from_terms / sum_factored, so a fault there could
 make them agree by construction.  Each test plants one fault, checks that it
 fired, and checks that a certificate which does not run the faulted code
 sees it.  Two plant faults in the Koornwinder eigen certificate: its
-eigenvalue, and the exact coefficient quotient of its ring division.  The
-last one plants a fault in the q-series kernel that the sampled identity
-suites share.
+eigenvalue, and the exact coefficient quotient of its ring division.  A
+q-series fault sits in the kernel that the sampled identity suites share.
+The last three plant faults in the letter blocks of the tableau and
+inversion terms, in the grouping of sum_factored and in the printer that
+every route's output goes through.
 """
 
 import random
@@ -15,8 +17,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+import test_cli
 import test_factored_eq
 import test_qseries
+import test_scalar
 
 from cdmac import (koornwinder, laurent, macdonald, oracle, poly, qseries, scalar, verify,
                    walgebra)
@@ -24,7 +28,8 @@ from cdmac.cli import main
 from cdmac.errors import NonLaurentResultError
 from cdmac.koornwinder import bc_specialize, koornwinder_apply
 from cdmac.laurent import LaurentPoly
-from cdmac.poly import SparsePoly
+from cdmac.poly import Mon, SparsePoly
+from cdmac.scalar import FactoredScalar
 from cdmac.walgebra import GammaTable
 
 
@@ -344,3 +349,96 @@ def test_dropped_last_term_in_the_series_kernel(monkeypatch):
                      "thm22": False,
                      "transformII": True,
                      "transformIII": True}
+
+
+def test_short_letter_block_caught_by_correlation(monkeypatch):
+    fired = []
+    real = macdonald._letter_block
+
+    def one_q_factor_short(k):
+        # (t;q)_k / (q;q)_(k-1) for k >= 2
+        if k < 2:
+            return real(k)
+        fired.append(k)
+        return FactoredScalar().times_poch(Mon.t(), k).div_poch(Mon.q(), k - 1)
+    monkeypatch.setattr(macdonald, "_letter_block", one_q_factor_short)
+    certs = _eigen_certificates("D", 2, 3)
+    assert fired
+    # the correlation route and the full path build no letter block; the
+    # inversion route sees the fault too, because its c_i blocks carry no
+    # letter block and its G rows have other letter counts than the tableaux
+    assert certs == {"tableau = inversion": False,
+                     "tableau = correlation": False,
+                     "correlation = full path": True,
+                     "eigen": False,
+                     "principal closed form": False}
+
+
+def test_grouped_sum_merging_multiplicities(monkeypatch):
+    fired = []
+    real = scalar._signature
+    real_sum = macdonald.sum_factored
+    seen = {}  # binomial keys -> the first true signature, per sum
+
+    def per_sum(terms):
+        seen.clear()
+        return real_sum(terms)
+
+    def keys_only(t):
+        # the signature without multiplicities: p^1 and p^2 terms merge, and
+        # the group takes its first term's cofactor
+        keys = frozenset(t.factors)
+        if seen.setdefault(keys, real(t)) != real(t):
+            fired.append(keys)
+        return keys
+    monkeypatch.setattr(macdonald, "sum_factored", per_sum)
+    monkeypatch.setattr(scalar, "_signature", keys_only)
+    certs = {**_certificates("D", 2, 3),
+             "principal closed form": macdonald.principal_specialize("D", 2, 3)
+             == macdonald.principal_closed_form("D", 2, 3),
+             # test_scalar's oracle adds plain Scalar products, with no grouping
+             "plain Scalar sums": not any(
+                 _grouped_sum_misses(seed) for seed in range(10))}
+    assert fired
+    # data: at D (2, 3) only the principal sum, over all tableaux at once,
+    # holds terms whose factors differ in multiplicity alone
+    assert certs == {"tableau = inversion": True,
+                     "tableau = correlation": True,
+                     "correlation = full path": True,
+                     "principal closed form": False,
+                     "plain Scalar sums": False}
+
+
+def _grouped_sum_misses(seed: int) -> bool:
+    try:
+        test_scalar.test_sum_factored_matches_plain_scalar_sum(seed)
+    except AssertionError:
+        return True
+    return False
+
+
+def test_printer_sign_flip_caught_by_round_trip(monkeypatch, capsys):
+    fired = []
+    real = SparsePoly.__str__
+
+    def last_sign_flipped(self):
+        # the sign of the last term of every polynomial of more than 6 terms
+        text = real(self)
+        if len(self.prim) <= 6:
+            return text
+        fired.append(len(self.prim))
+        i = max(text.rfind(" + "), text.rfind(" - "))
+        return text[:i] + (" - " if text[i + 1] == "+" else " + ") + text[i + 3:]
+    monkeypatch.setattr(SparsePoly, "__str__", last_sign_flipped)
+    certs = {f"{fmt} round trip": test_cli.reads_back(capsys, ("D", 2, 3, None), fmt)
+             for fmt in ("text", "json")}
+    outs = {}
+    for via in ("tableau", "lassalle"):
+        assert main(["compute", "--family", "D", "--n", "2", "--r", "3", "--via", via]) == 0
+        outs[via] = capsys.readouterr().out
+    certs["route byte equality"] = outs["tableau"] == outs["lassalle"]
+    assert fired
+    # data: every route prints through the faulted printer
+    assert certs == {"text round trip": False,
+                     "json round trip": False,
+                     "route byte equality": True}

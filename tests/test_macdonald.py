@@ -1,8 +1,9 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from cdmac import walgebra
+from cdmac import macdonald, walgebra
 from cdmac.errors import UsageError
 from cdmac.laurent import LaurentPoly
 from cdmac.macdonald import (T_SPECIAL, g_series, lassalle_expand,
@@ -246,3 +247,19 @@ def test_principal_c_rank_one_general_T():
     w = Scalar.from_mon(Mon.half(Th=1))
     assert got == w + 1 / w
     assert principal_specialize("C", 1, 1, Tm) == got
+
+
+def test_letter_blocks_built_once_per_call(monkeypatch):
+    # each (t;q)_k / (q;q)_k is built once per call and shared by every row
+    # of the inversion route; a second call builds its own
+    built = Counter()
+    real = macdonald._letter_block
+
+    def counting(k):
+        built[k] += 1
+        return real(k)
+    monkeypatch.setattr(macdonald, "_letter_block", counting)
+    first = lassalle_invert("D", 3, 5)
+    assert built == Counter({k: 1 for k in range(1, 6)})
+    assert lassalle_invert("D", 3, 5) == first
+    assert built == Counter({k: 2 for k in range(1, 6)})

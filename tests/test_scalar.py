@@ -246,3 +246,77 @@ def test_compute_gcd_runs_against_single_binomials(monkeypatch, capsys, args):
     assert main(["compute", *args]) == 0
     assert capsys.readouterr().out.startswith("x1^")
     assert sizes and max(sizes) <= 2
+
+
+# -- the grouped accumulation of sum_factored --------------------------------
+
+# binomial arguments z of (1 - z): unit and non-unit coefficients, mixed
+# signs and negative exponents (1 - t/q has a monomial unit u^-2)
+_Z_POOL = [Mon.q(), Mon.t(), Mon(1, (2, 2, 0)), Mon(1, (-2, 4, 0)), Mon(F(5, 7), (2, 0, 0)),
+           Mon(-1, (0, 2, 2)), Mon(F(-3, 2), (0, -2, 0))]
+
+
+def _recipe_terms(rng, nterms):
+    """Seeded (coef, mexp, [(z, mult)]) recipes over a few shared factor
+    signatures, with multiplicities in -2..2; two signatures differ only in
+    the multiplicity of one factor."""
+    signatures = [[(z, rng.choice((-2, -1, 1, 2))) for z in rng.sample(_Z_POOL, rng.randrange(1, 4))]
+                  for _ in range(3)] + [[]]
+    (z, mult), *rest = signatures[0]
+    signatures.append([(z, 3 - mult if mult > 0 else -3 - mult)] + rest)
+    out = []
+    for _ in range(nterms):
+        coef = F(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 2, 9)))
+        mexp = tuple(rng.randrange(-2, 3) for _ in range(3))
+        out.append((coef, mexp, rng.choice(signatures)))
+    return out
+
+
+def _factored(recipe) -> FactoredScalar:
+    coef, mexp, factors = recipe
+    fs = FactoredScalar().times_mon(Mon(coef, mexp))
+    for z, mult in factors:
+        for _ in range(abs(mult)):
+            fs.times_poch(z, 1) if mult > 0 else fs.div_poch(z, 1)
+    return fs
+
+
+def _plain(recipe) -> Scalar:
+    """The same term as a plain Scalar product, as the full correlation path
+    builds its values."""
+    coef, mexp, factors = recipe
+    out = Scalar.from_mon(Mon(coef, mexp))
+    for z, mult in factors:
+        out = out * (1 - Scalar.from_mon(z)) ** mult
+    return out
+
+
+def _negated(recipe):
+    coef, mexp, factors = recipe
+    return -coef, mexp, factors
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sum_factored_matches_plain_scalar_sum(seed):
+    rng = random.Random(seed)
+    recipes = _recipe_terms(rng, rng.randrange(4, 12))
+    # a group that cancels to zero: a term and its negation share a signature
+    # and a monomial
+    recipes.append(_negated(recipes[0]))
+    recipes.append(recipes[0])
+    rng.shuffle(recipes)
+    expected = Scalar.zero()
+    for recipe in recipes:
+        expected = expected + _plain(recipe)
+    s = sum_factored([_factored(recipe) for recipe in recipes])
+    assert s == expected
+    # den is its monomial part times prod p^need over den_factors
+    c, mono = s.den_unit()
+    den = SparsePoly.const(c).shift(mono)
+    for p, need in s.den_factors:
+        for _ in range(need):
+            den = den * p
+    assert s.den == den
+    # a sum that cancels entirely is zero
+    whole = recipes + [_negated(recipe) for recipe in recipes]
+    assert sum_factored([_factored(recipe) for recipe in whole]).is_zero()
