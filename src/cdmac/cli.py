@@ -16,7 +16,7 @@ from . import macdonald, qseries, verify, walgebra
 from .errors import NonLaurentResultError, PoleError, UsageError
 from .laurent import LaurentPoly
 from .poly import _MASK, Mon
-from .tableaux import Alphabet, count_closed_form, enumerate_tableaux
+from .tableaux import Alphabet, count_up_to, enumerate_tableaux
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -44,7 +44,10 @@ def _compute(args) -> tuple[int, str]:
     family = args.family
     T = _parse_T(args.T) if args.T is not None else None
     Tm = macdonald._family_T(family, T)  # the family/T rule holds on every route
-    if macdonald._T_reach(args.r, Tm) > _MASK:  # checked before any route starts work
+    # both checked before any route starts work
+    if 2 * args.r > _MASK:  # (q;q)_r ends in 1 - q^r, 2r half-powers of q
+        raise UsageError(f"r = {args.r} takes q^r past the 20-bit packing range [0, 2^20)")
+    if macdonald._T_reach(args.r, Tm) > _MASK:
         raise UsageError(f"T = {args.T} takes generator exponents at r = {args.r} past "
                          "the 20-bit packing range [0, 2^20)")
     _check_budget(args)  # before any route starts work
@@ -76,6 +79,7 @@ def _format_poly(p: LaurentPoly, args) -> str:
 
 def _verify(args) -> tuple[int, str]:
     suites = verify.SUITES[:-1] if args.suite == "all" else (args.suite,)
+    verify.check_budget(suites, args.n, args.r, args.budget)  # before any suite starts
     reports = []
     ok = True
     for name in suites:
@@ -95,10 +99,13 @@ def _verify(args) -> tuple[int, str]:
 
 
 def _check_budget(args):
-    """The closed-form tableau count against --budget, before any work."""
-    count = count_closed_form(args.family, args.n, args.r)
+    """The closed-form tableau count against --budget, before any work; the
+    count is exact up to 2^64 or the budget, whichever is larger."""
+    cap = max(args.budget, 2 ** 64)
+    count = count_up_to(args.family, args.n, args.r, cap)
     if count > args.budget:
-        raise UsageError(f"{count} tableaux exceed the budget {args.budget}")
+        shown = f"more than {cap}" if count > cap else count
+        raise UsageError(f"{shown} tableaux exceed the budget {args.budget}")
 
 
 def _tableaux(args) -> tuple[int, str]:

@@ -15,7 +15,10 @@ lives in cdmac.oracle.
 
 All symbolic output is a LaurentPoly over the Scalar field; coefficients are
 accumulated through FactoredScalar so that each weight's sum is produced over
-a least common denominator.
+a least common denominator.  Each term generator owns two tables for the
+length of its call: the letter blocks, and the binomials 1 - z that every
+FactoredScalar it builds shares, so that each distinct binomial and each
+block is built once per call.
 """
 
 from __future__ import annotations
@@ -88,20 +91,21 @@ def _from_terms(n: int, terms) -> LaurentPoly:
     return LaurentPoly(n, out)
 
 
-def _letter_block(k: int) -> FactoredScalar:
-    """The letter block (t;q)_k / (q;q)_k."""
-    return FactoredScalar().times_poch(Mon.t(), k).div_poch(Mon.q(), k)
+def _letter_block(k: int, binomials: dict) -> FactoredScalar:
+    """The letter block (t;q)_k / (q;q)_k, its binomials from the table."""
+    return FactoredScalar(binomials).times_poch(Mon.t(), k).div_poch(Mon.q(), k)
 
 
 def _letter_factors(fs: FactoredScalar, counts, blocks: dict) -> FactoredScalar:
     """Multiply by (t;q)_k / (q;q)_k for every letter count k.  blocks maps
-    k to its block: each is built once, into the dict of the term generator
-    that owns it, and merged into every term that has a letter count k."""
+    k to its block: each is built once, from fs's binomial table, into the
+    dict of the term generator that owns it, and merged into every term that
+    has a letter count k."""
     for k in counts:
         if k:
             block = blocks.get(k)
             if block is None:
-                block = blocks[k] = _letter_block(k)
+                block = blocks[k] = _letter_block(k, fs.binomials)
             fs.times(block)
     return fs
 
@@ -114,12 +118,13 @@ def _tq(a: int, b: int) -> Mon:
 # generating series
 # ---------------------------------------------------------------------------
 
-def _g_terms(n: int, r: int, blocks: dict):
+def _g_terms(n: int, r: int, blocks: dict, binomials: dict):
     """(weight, coefficient) per weak composition of r: the terms of G_r.
-    blocks is the letter-block dict of _letter_factors."""
+    blocks is the letter-block dict of _letter_factors, binomials the
+    caller's binomial table."""
     alpha = Alphabet("C", n)  # no occupancy constraint in G_r
     for tab in enumerate_tableaux(alpha, r):
-        yield tab.weight(), _letter_factors(FactoredScalar(), tab.theta, blocks)
+        yield tab.weight(), _letter_factors(FactoredScalar(binomials), tab.theta, blocks)
 
 
 def g_series(n: int, r: int) -> LaurentPoly:
@@ -127,7 +132,7 @@ def g_series(n: int, r: int) -> LaurentPoly:
     ((u x_i;q)oo (u/x_i;q)oo): a sum over all weak compositions of r."""
     if n < 1 or r < 0:
         raise UsageError("need n >= 1, r >= 0")
-    return _from_terms(n, _g_terms(n, r, {}))
+    return _from_terms(n, _g_terms(n, r, {}, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -138,58 +143,69 @@ def _prefactor(fs: FactoredScalar, r: int) -> FactoredScalar:
     return fs.times_poch(Mon.q(), r).div_poch(Mon.t(), r)
 
 
+# In the l-loops below, Sp = sum(th[l:2n-l]) (in _terms_C_general, without
+# the middle pair and with d in its place) and S = th[l-1] + Sp.  Both are
+# running sums, so a term costs O(n), and an l with no letter lbar adds no
+# factor, since (z;q)_0 = 1.
+
 def _terms_D(n: int, r: int):
     """(weight, coefficient) per type-D tableau."""
-    blocks = {}
+    blocks, binomials = {}, {}
     for tab in enumerate_tableaux(Alphabet("D", n), r):
         th = tab.theta
-        fs = _letter_factors(_prefactor(FactoredScalar(), r), th, blocks)
+        fs = _letter_factors(_prefactor(FactoredScalar(binomials), r), th, blocks)
+        Sp = r - th[0] - th[2 * n - 1]
         for l in range(1, n):
-            S = sum(th[l - 1:2 * n - l])
-            Sp = sum(th[l:2 * n - l])
             tl = th[2 * n - l]
-            fs.times_poch(_tq(n - l, Sp), tl)
-            fs.times_poch(_tq(n - l - 1, S + 1), tl)
-            fs.div_poch(_tq(n - l - 1, Sp + 1), tl)
-            fs.div_poch(_tq(n - l, S), tl)
+            if tl:
+                S = Sp + th[l - 1]
+                fs.times_poch(_tq(n - l, Sp), tl)
+                fs.times_poch(_tq(n - l - 1, S + 1), tl)
+                fs.div_poch(_tq(n - l - 1, Sp + 1), tl)
+                fs.div_poch(_tq(n - l, S), tl)
+            Sp -= th[l] + th[2 * n - l - 1]
         yield tab.weight(), fs
 
 
 def _terms_C_special(n: int, r: int):
     """(weight, coefficient) per type-C tableau at T = t^2/q."""
-    blocks = {}
+    blocks, binomials = {}, {}
     for tab in enumerate_tableaux(Alphabet("C", n), r):
         th = tab.theta
-        fs = _letter_factors(_prefactor(FactoredScalar(), r), th, blocks)
+        fs = _letter_factors(_prefactor(FactoredScalar(binomials), r), th, blocks)
+        Sp = r - th[0] - th[2 * n - 1]
         for l in range(1, n + 1):
-            S = sum(th[l - 1:2 * n - l])
-            Sp = sum(th[l:2 * n - l])
             tl = th[2 * n - l]
-            fs.times_poch(_tq(n - l + 1, S), tl)
-            fs.times_poch(_tq(n - l + 2, Sp - 1), tl)
-            fs.div_poch(_tq(n - l + 2, S - 1), tl)
-            fs.div_poch(_tq(n - l + 1, Sp), tl)
+            if tl:
+                S = Sp + th[l - 1]
+                fs.times_poch(_tq(n - l + 1, S), tl)
+                fs.times_poch(_tq(n - l + 2, Sp - 1), tl)
+                fs.div_poch(_tq(n - l + 2, S - 1), tl)
+                fs.div_poch(_tq(n - l + 1, Sp), tl)
+            Sp -= th[l] + th[2 * n - l - 1]
         yield tab.weight(), fs
 
 
 def _terms_C_general(n: int, r: int, Tm: Mon):
     """(weight, coefficient) per type-C tableau, free T."""
-    blocks = {}
+    blocks, binomials = {}, {}
     for tab in enumerate_tableaux(Alphabet("C", n), r):
         th = tab.theta
         thn, thnb = th[n - 1], th[n]
         theta = min(thn, thnb)
         d = abs(thn - thnb)
-        fs = _letter_factors(_prefactor(FactoredScalar(), r),
+        fs = _letter_factors(_prefactor(FactoredScalar(binomials), r),
                              th[:n - 1] + th[n + 1:] + (d,), blocks)
+        Sp = r - th[0] - thn - thnb - th[2 * n - 1] + d
         for l in range(1, n):
-            S = sum(th[l - 1:n - 1]) + d + sum(th[n + 1:2 * n - l])
-            Sp = sum(th[l:n - 1]) + d + sum(th[n + 1:2 * n - l])
             tl = th[2 * n - l]
-            fs.times_poch(_tq(n - l - 1, S + 1), tl)
-            fs.times_poch(_tq(n - l, Sp), tl)
-            fs.div_poch(_tq(n - l, S), tl)
-            fs.div_poch(_tq(n - l - 1, Sp + 1), tl)
+            if tl:
+                S = Sp + th[l - 1]
+                fs.times_poch(_tq(n - l - 1, S + 1), tl)
+                fs.times_poch(_tq(n - l, Sp), tl)
+                fs.div_poch(_tq(n - l, S), tl)
+                fs.div_poch(_tq(n - l - 1, Sp + 1), tl)
+            Sp -= th[l] + th[2 * n - l - 1]
         fs.times_poch(Tm, theta)
         fs.times_poch(_tq(n, r - 2 * theta), 2 * theta)
         fs.div_poch(Mon.q(), theta)
@@ -255,10 +271,10 @@ def _expand_coeff(i: int, n: int, r: int, Tm: Mon) -> Scalar:
     return fs.to_scalar()
 
 
-def _invert_block(n: int, r: int, i: int, Tm: Mon) -> FactoredScalar:
+def _invert_block(n: int, r: int, i: int, Tm: Mon, binomials: dict) -> FactoredScalar:
     """pref * c_i * (1 - t^n q^(r-2i)) / (1 - t^n q^(r-i)): the part of an
     inversion term that does not depend on the composition."""
-    fs = _prefactor(FactoredScalar(), r)
+    fs = _prefactor(FactoredScalar(binomials), r)
     fs.times_mon(Mon.t() ** i)
     fs.times_poch(Tm / Mon.t(), i)
     fs.times_poch(_tq(n, r - i), i)
@@ -273,11 +289,12 @@ def _invert_terms(n: int, r: int, Tm: Mon):
     """(weight, coefficient) of pref * c_i * G_(r-2i) per composition and i,
     c_i the coefficient of G_(r-2i) in the inverse expansion.  The
     composition-free block of each i is built once and merged into every
-    G_(r-2i) term, and every row shares one letter-block dict."""
-    letters = {}
+    G_(r-2i) term, and every row shares one letter-block dict and one
+    binomial table."""
+    letters, binomials = {}, {}
     for i in range(r // 2 + 1):
-        block = _invert_block(n, r, i, Tm)
-        for w, fs in _g_terms(n, r - 2 * i, letters):
+        block = _invert_block(n, r, i, Tm, binomials)
+        for w, fs in _g_terms(n, r - 2 * i, letters, binomials):
             yield w, fs.times(block)
 
 

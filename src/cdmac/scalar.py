@@ -380,14 +380,20 @@ class FactoredScalar:
     Used to build q-shifted-factorial products and to sum them over a true
     least common denominator.  Not a public value type; confine instances to
     a single construction site.
+
+    binomials maps (z.coef, z.exp) to _binomial_parts(z), so that each
+    distinct binomial 1 - z is built once per table.  A term generator
+    passes one dict to every term it builds, and drops it when its call
+    returns; without one, the instance keeps its own.
     """
 
-    __slots__ = ("coef", "mexp", "factors")
+    __slots__ = ("coef", "mexp", "factors", "binomials")
 
-    def __init__(self):
+    def __init__(self, binomials: dict | None = None):
         self.coef = Fraction(1)
         self.mexp = (0, 0, 0)
         self.factors: dict[tuple, list] = {}
+        self.binomials = {} if binomials is None else binomials
 
     def is_zero(self) -> bool:
         return self.coef == 0
@@ -398,7 +404,10 @@ class FactoredScalar:
         return self
 
     def _factor(self, z: Mon, mult: int) -> "FactoredScalar":
-        unit, uexp, key, prim = _binomial_parts(z)
+        parts = self.binomials.get((z.coef, z.exp))
+        if parts is None:
+            parts = self.binomials[z.coef, z.exp] = _binomial_parts(z)
+        unit, uexp, key, prim = parts
         if unit is None:
             if mult > 0:
                 self.coef = Fraction(0)

@@ -94,3 +94,32 @@ def count_closed_form(family: str, n: int, r: int) -> int:
     if family == "D" and r >= 2:
         total -= comb(r - 2 + 2 * n - 1, 2 * n - 1)
     return total
+
+
+def _comb_upto(m: int, k: int, cap: int) -> int:
+    """comb(m, k) when it is at most cap, else cap + 1.  With k <= m - k the
+    running products comb(m - k + i, i) >= 2^i never decrease, so the loop
+    stops within log2(cap) + 1 steps whatever the size of comb(m, k)."""
+    if not 0 <= k <= m:
+        return 0
+    k = min(k, m - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (m - k + i) // i
+        if c > cap:
+            return cap + 1
+    return c
+
+
+def count_up_to(family: str, n: int, r: int, cap: int) -> int:
+    """count_closed_form(family, n, r) when it is at most cap, else cap + 1,
+    in O(log cap) steps: the cost guard of every command, which must not
+    itself build a binomial of millions of digits.  Family D counts the
+    compositions with theta_nbar = 0, then those with theta_nbar > 0 and
+    theta_n = 0."""
+    if family == "D" and r >= 1:
+        total = (_comb_upto(r + 2 * n - 2, 2 * n - 2, cap)
+                 + _comb_upto(r + 2 * n - 3, 2 * n - 2, cap))
+    else:
+        total = _comb_upto(r + 2 * n - 1, 2 * n - 1, cap)
+    return min(total, cap + 1)

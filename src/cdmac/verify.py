@@ -21,6 +21,7 @@ from .laurent import LaurentPoly
 from .poly import Mon
 from .qseries import TransformInstance, verify_identity
 from .scalar import Scalar
+from .tableaux import count_up_to
 
 SUITES = ("classical", "thm22", "transformII", "transformIII", "lassalleD",
           "lassalleC", "eigen", "principal", "soukan", "all")
@@ -340,10 +341,46 @@ def _suite_soukan(seed, l_max=3, r_max=3, budget=50000):
     return out
 
 
+def _suite_builds(name: str, n_max: int, r_max: int):
+    """(family, n, r) of each polynomial that suite `name` builds, once per
+    build, smallest n first."""
+    grid = ((n, r) for n in range(1, n_max + 1) for r in range(r_max + 1))
+    if name == "lassalleD":  # tableau and inversion route
+        for n, r in grid:
+            yield from [("D", n, r)] * 2
+    elif name == "lassalleC":  # three special-T builds, a G row and each general T
+        for n, r in grid:
+            yield from [("C", n, r)] * (3 + (n >= 2) * (1 + len(_general_T_values())))
+    elif name == "eigen":
+        for family, n, r, _, _ in _eigen_variants(n_max, r_max):
+            yield family, n, r
+    elif name == "principal":  # D, and C at two values of T
+        for n, r in grid:
+            yield from [("D", n, r)] + [("C", n, r)] * (2 * (n >= 2))
+    elif name == "soukan":  # two tableau paths and the tableau sum; the full
+        for family in ("C", "D"):  # path checks (2l)^r itself
+            for n in range(1, min(n_max, 3) + 1):
+                for r in range(min(r_max, 3) + 1):
+                    yield from [(family, n, r)] * 3
+
+
+def check_budget(names, n_max: int, r_max: int, budget: int) -> None:
+    """Refuse, before any work, suites whose polynomial builds sum more than
+    budget tableaux (tableaux.count_up_to per build)."""
+    total = 0
+    for name in names:
+        for family, n, r in _suite_builds(name, n_max, r_max):
+            total += count_up_to(family, n, r, budget - total)
+            if total > budget:
+                raise UsageError(f"suite {' + '.join(names)} at n <= {n_max}, r <= {r_max} "
+                                 f"needs more than {budget} tableaux, the budget")
+
+
 def run_suite(name: str, seed: int = 0, samples: int = 25, n_max: int = 3,
               r_max: int = 4, budget: int = 50000, corrupt: str | None = None) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    check_budget(SUITES[:-1] if name == "all" else (name,), n_max, r_max, budget)
     idents = suite_identities(name)
     if corrupt is not None and corrupt not in idents:
         # a negative control that the suite never runs cannot fail

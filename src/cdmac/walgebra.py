@@ -26,9 +26,10 @@ tuple's kernel product is a ratio of binomials (1 - monomial), exactly like a
 tableau term: the 'tableau' path of phi_principal builds it as a
 FactoredScalar and sums each weight over a least common denominator.  Each
 pair kernel (letters a, b at points z_a, z_b) is built once per call and
-merged into every tuple that contains it.  The 'full' path and
-correlation_F multiply gamma_base values in plain Scalar (or rational)
-arithmetic; that path is the arithmetic oracle for the factored one.
+merged into every tuple that contains it, and every kernel of the call
+shares one binomial table.  The 'full' path and correlation_F multiply
+gamma_base values in plain Scalar (or rational) arithmetic; that path is the
+arithmetic oracle for the factored one.
 """
 
 from __future__ import annotations
@@ -140,18 +141,19 @@ def _kernel_product(table: GammaTable, eps, z):
                 for i, j in combinations(range(len(eps)), 2))
 
 
-def _kernel_factored(table: GammaTable, eps, z, memo: dict) -> FactoredScalar:
+def _kernel_factored(table: GammaTable, eps, z, memo: dict, binomials: dict) -> FactoredScalar:
     """_kernel_product for monomial z, q and t, as one product of binomials.
 
-    memo maps (a, b, z_a, z_b) to that pair's factored kernel; the caller
-    keeps it for one sum only.
+    memo maps (a, b, z_a, z_b) to that pair's factored kernel, and every
+    kernel takes its binomials from the table binomials; the caller keeps
+    both for one sum only.
     """
-    fs = FactoredScalar()
+    fs = FactoredScalar(binomials)
     for i, j in combinations(range(len(eps)), 2):
         key = (eps[i], eps[j], z[i], z[j])
         pair = memo.get(key)
         if pair is None:
-            pair = memo[key] = FactoredScalar()
+            pair = memo[key] = FactoredScalar(binomials)
             for x in table.gamma_args(*key):
                 _gamma_factored(pair, x, table.q, table.t)
         fs.times(pair)
@@ -212,8 +214,9 @@ def phi_principal(family: str, l: int, r: int, path: str = "tableau",
         return correlation_F(_principal_spec(family, l, r), budget)
     zs, qh, th = _principal_args(r)
     table = GammaTable(family, l, qh, th)
-    memo: dict = {}
-    return _from_terms(l, ((tab.weight(), _kernel_factored(table, _tableau_tuple(tab), zs, memo))
+    memo, binomials = {}, {}
+    return _from_terms(l, ((tab.weight(),
+                            _kernel_factored(table, _tableau_tuple(tab), zs, memo, binomials))
                            for tab in enumerate_tableaux(Alphabet(family, l), r)))
 
 

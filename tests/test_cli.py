@@ -8,7 +8,7 @@ import time
 import pytest
 import test_scalar
 
-from cdmac import macdonald
+from cdmac import macdonald, tableaux, verify
 from cdmac.cli import main
 from cdmac.laurent import LaurentPoly
 from cdmac.poly import SparsePoly
@@ -92,11 +92,47 @@ def test_printed_output_reads_back(capsys, case, fmt):
 @pytest.mark.parametrize("argv", [
     ["compute", "--family", "D", "--n", "600", "--r", "0"],
     ["compute", "--family", "D", "--n", "600", "--r", "1", "--via", "lassalle"],
-    ["tableaux", "--family", "D", "--n", "600", "--r", "0"]], ids=" ".join)
+    ["tableaux", "--family", "D", "--n", "600", "--r", "0"],
+    ["compute", "--family", "D", "--n", "1000000", "--r", "0"]], ids=" ".join)
 def test_large_rank_runs(capsys, argv):
-    # the composition enumerator keeps no recursion as deep as the rank
+    # the composition enumerator keeps no recursion as deep as the rank, and
+    # a tableau term costs O(n)
     code, out, err = run(capsys, *argv)
     assert code == 0 and out and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "lassalleD", "--n", "600", "--r", "4"],
+    ["verify", "--suite", "eigen", "--n", "600", "--r", "1"],
+    ["verify", "--suite", "all", "--n", "1000000", "--r", "1000000"],
+    ["compute", "--family", "D", "--n", "1000000", "--r", "1000000"],
+    ["compute", "--family", "D", "--n", "1", "--r", "1000000"]], ids=" ".join)
+def test_budget_refuses_before_any_work(capsys, argv):
+    # the guard sums closed-form counts, and never builds a binomial of
+    # millions of digits; (q;q)_r at r = 10^6 leaves the packing range
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_verify_budget_sums_the_chosen_suites(capsys):
+    # at the default n <= 3, r <= 4 the suites build 5693 tableaux in all
+    assert sum(tableaux.count_closed_form(*build) for name in verify.SUITES[:-1]
+               for build in verify._suite_builds(name, 3, 4)) == 5693
+    code, out, err = run(capsys, "verify", "--suite", "all", "--budget", "5692")
+    assert code == 2 and out == ""
+    assert err == ("usage error: suite classical + thm22 + transformII + transformIII + "
+                   "lassalleD + lassalleC + eigen + principal + soukan at n <= 3, r <= 4 "
+                   "needs more than 5692 tableaux, the budget\n")
+    # two builds each of D (1, r) and D (2, r), r <= 2: 2 * (1 + 2 + 2 + 1 + 4 + 9)
+    code, out, _ = run(capsys, "verify", "--suite", "lassalleD", "--n", "2", "--r", "2",
+                       "--budget", "38")
+    assert code == 0 and json.loads(out)["passed"]
+    code, _, _ = run(capsys, "verify", "--suite", "lassalleD", "--n", "2", "--r", "2",
+                     "--budget", "37")
+    assert code == 2
 
 
 def test_tableaux_budget_checked_before_any_work(capsys):
@@ -198,7 +234,7 @@ def test_T_exponent_product_outside_packing_exits_2(capsys):
 
 def test_T_exponent_range_refused_before_any_route(monkeypatch, capsys):
     # two binomials in T = t^400000 reach 1600000 half-powers of t at r = 4
-    from cdmac import macdonald
+    from cdmac import macdonald, tableaux, verify
 
     def unreachable(*args):
         raise AssertionError("the route started")
@@ -289,14 +325,17 @@ def test_unknown_corrupt_identity_exits_2(capsys):
 
 _FUZZ_T = ["t^2/q", "symbolic", "t^3", "t^600000", "q^-1", "q^2", "1/0", "abc", "25/49",
            "5/7", "0", "1", "-1"]
+# ranks and rows past any budget: refused before any work, or at r = 0 one
+# tableau in O(n)
+_FUZZ_SIZES = [str(k) for k in range(-1, 5)] + ["600", "1000000"]
 
 
 def _fuzz_argv(rng, configs):
     argv = ["compute"]
     for flag, values, p in (
             ("--family", ["C", "D"], 0.9),
-            ("--n", [str(k) for k in range(-1, 5)], 0.9),
-            ("--r", [str(k) for k in range(-1, 5)], 0.9),
+            ("--n", _FUZZ_SIZES, 0.9),
+            ("--r", _FUZZ_SIZES, 0.9),
             ("--T", _FUZZ_T, 0.6),
             ("--budget", [str(rng.randint(-1, 250))], 0.9),  # C and D (4, 4) exceed 250
             ("--via", ["tableau", "lassalle", "walgebra"], 0.3),

@@ -7,9 +7,11 @@ fired, and checks that a certificate which does not run the faulted code
 sees it.  Two plant faults in the Koornwinder eigen certificate: its
 eigenvalue, and the exact coefficient quotient of its ring division.  A
 q-series fault sits in the kernel that the sampled identity suites share.
-The last three plant faults in the letter blocks of the tableau and
-inversion terms, in the grouping of sum_factored and in the printer that
-every route's output goes through.
+Three more plant faults in the letter blocks of the tableau and inversion
+terms, in the grouping of sum_factored and in the printer that every
+route's output goes through.  The last two plant faults in the per-call
+binomial table of FactoredScalar and in the polynomial product that every
+exact sum runs.
 """
 
 import random
@@ -237,9 +239,9 @@ def test_kernel_memo_without_points_caught_by_tableau(monkeypatch):
     real = walgebra._kernel_factored
     memos = {}  # keeps each call's memo alive, so that its id stays its own
 
-    def letters_only(table, eps, z, memo):
+    def letters_only(table, eps, z, memo, binomials):
         _, faulty = memos.setdefault(id(memo), (memo, _LettersOnlyMemo(fired)))
-        return real(table, eps, z, faulty)
+        return real(table, eps, z, faulty, binomials)
     monkeypatch.setattr(walgebra, "_kernel_factored", letters_only)
     certs = {family: _certificates(family, 2, 3) for family in ("C", "D")}
     assert fired
@@ -355,12 +357,12 @@ def test_short_letter_block_caught_by_correlation(monkeypatch):
     fired = []
     real = macdonald._letter_block
 
-    def one_q_factor_short(k):
+    def one_q_factor_short(k, binomials):
         # (t;q)_k / (q;q)_(k-1) for k >= 2
         if k < 2:
-            return real(k)
+            return real(k, binomials)
         fired.append(k)
-        return FactoredScalar().times_poch(Mon.t(), k).div_poch(Mon.q(), k - 1)
+        return FactoredScalar(binomials).times_poch(Mon.t(), k).div_poch(Mon.q(), k - 1)
     monkeypatch.setattr(macdonald, "_letter_block", one_q_factor_short)
     certs = _eigen_certificates("D", 2, 3)
     assert fired
@@ -442,3 +444,95 @@ def test_printer_sign_flip_caught_by_round_trip(monkeypatch, capsys):
     assert certs == {"text round trip": False,
                      "json round trip": False,
                      "route byte equality": True}
+
+
+class _ExpOnlyTable(dict):
+    """A binomial table keyed on z.exp without z.coef, so that 1 - (5/7) x^e
+    and 1 - x^e share one slot."""
+
+    def __init__(self, fired):
+        super().__init__()
+        self.fired, self.coefs = fired, {}
+
+    def get(self, key, default=None):
+        hit = super().get(key[1], default)
+        if hit is not None and self.coefs[key[1]] != key[0]:
+            self.fired.append(key)
+        return hit
+
+    def __setitem__(self, key, value):
+        self.coefs[key[1]] = key[0]
+        super().__setitem__(key[1], value)
+
+
+def test_binomial_table_without_coefficient_caught_by_eigen(monkeypatch):
+    fired = []
+    real = FactoredScalar.__init__
+    tables = {}  # keeps each call's table alive, so that its id stays its own
+
+    def exp_keyed(self, binomials=None):
+        if not isinstance(binomials, _ExpOnlyTable):
+            binomials = _ExpOnlyTable(fired) if binomials is None else \
+                tables.setdefault(id(binomials), (binomials, _ExpOnlyTable(fired)))[1]
+        real(self, binomials)
+    monkeypatch.setattr(FactoredScalar, "__init__", exp_keyed)
+
+    def tableau_is_inversion(family, T):
+        return macdonald.tableau_poly(family, 2, 2, T) == \
+            macdonald.lassalle_invert(family, 2, 2, T)
+    certs = {f"tableau = inversion, T = {label}": tableau_is_inversion(family, T)
+             for label, family, T in (("1 (D)", "D", None), ("t^2/q", "C", macdonald.T_SPECIAL),
+                                      ("symbolic", "C", Mon.T()), ("t^3", "C", Mon.t(3)))}
+    assert not fired  # every binomial coefficient is 1 at these T
+    fam = {row: macdonald.tableau_poly_C_general(2, row, Fraction(5, 7)) for row in range(3)}
+    certs.update({
+        "tableau = inversion, T = 5/7": tableau_is_inversion("C", Fraction(5, 7)),
+        "tableau = inversion, T = 25/49": tableau_is_inversion("C", Fraction(25, 49)),
+        "eigen, T = 25/49": verify.eigen_check("C", 2, 2, Fraction(25, 49)),
+        "G_2 expansion, T = 5/7": (macdonald.lassalle_expand("C", 2, 2, fam, Fraction(5, 7))
+                                   - macdonald.g_series(2, 2)).is_zero(),
+        "principal closed form, D": macdonald.principal_specialize("D", 2, 3)
+        == macdonald.principal_closed_form("D", 2, 3)})
+    assert fired
+    # data: the fault fires only where a call holds 1 - c x^e and 1 - x^e
+    # with c != 1, at a rational T; the Koornwinder operator builds no
+    # FactoredScalar, and the G rows hold no T
+    assert certs == {"tableau = inversion, T = 1 (D)": True,
+                     "tableau = inversion, T = t^2/q": True,
+                     "tableau = inversion, T = symbolic": True,
+                     "tableau = inversion, T = t^3": True,
+                     "tableau = inversion, T = 5/7": False,
+                     "tableau = inversion, T = 25/49": False,
+                     "eigen, T = 25/49": False,
+                     "G_2 expansion, T = 5/7": False,
+                     "principal closed form, D": True}
+
+
+def test_product_sign_flip_caught_by_eigen(monkeypatch):
+    fired = []
+    real = SparsePoly.__mul__
+
+    def sign_flipped(a, b):
+        # the sign of every product of more than 40 terms
+        out = real(a, b)
+        if len(out.prim) <= 40:
+            return out
+        fired.append(len(out.prim))
+        return -out
+    monkeypatch.setattr(SparsePoly, "__mul__", sign_flipped)
+    certs = {f"{family} {key}": value for family in ("D", "C")
+             for key, value in _eigen_certificates(family, 2, 3).items()}
+    assert fired
+    # data: tableau and correlation sums multiply the same LCD cofactors, so
+    # they agree; the full path's plain Scalar products flip too, but
+    # differently; the eigen operator multiplies no SparsePoly
+    assert certs == {"D tableau = inversion": True,
+                     "D tableau = correlation": True,
+                     "D correlation = full path": False,
+                     "D eigen": True,
+                     "D principal closed form": True,
+                     "C tableau = inversion": False,
+                     "C tableau = correlation": True,
+                     "C correlation = full path": False,
+                     "C eigen": False,
+                     "C principal closed form": False}

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cdmac import macdonald, walgebra
+from cdmac import macdonald, scalar, walgebra
 from cdmac.errors import UsageError
 from cdmac.laurent import LaurentPoly
 from cdmac.macdonald import (T_SPECIAL, g_series, lassalle_expand,
@@ -12,7 +12,7 @@ from cdmac.macdonald import (T_SPECIAL, g_series, lassalle_expand,
                              tableau_poly, tableau_poly_C_general,
                              tableau_poly_C_special, tableau_poly_D)
 from cdmac.oracle import g_series_from_product
-from cdmac.poly import Mon
+from cdmac.poly import Mon, SparsePoly
 from cdmac.qseries import qpoch
 from cdmac.scalar import FactoredScalar, Scalar
 
@@ -255,11 +255,39 @@ def test_letter_blocks_built_once_per_call(monkeypatch):
     built = Counter()
     real = macdonald._letter_block
 
-    def counting(k):
+    def counting(k, binomials):
         built[k] += 1
-        return real(k)
+        return real(k, binomials)
     monkeypatch.setattr(macdonald, "_letter_block", counting)
     first = lassalle_invert("D", 3, 5)
     assert built == Counter({k: 1 for k in range(1, 6)})
     assert lassalle_invert("D", 3, 5) == first
     assert built == Counter({k: 2 for k in range(1, 6)})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tableau_poly("D", 3, 5),
+    lambda: lassalle_invert("D", 3, 5),
+    lambda: walgebra.phi_principal("D", 3, 4)], ids=["tableau", "lassalle", "walgebra"])
+def test_each_binomial_built_once_per_call(monkeypatch, build):
+    # every term of a call takes its binomials 1 - z from one table, which
+    # the call drops when it returns
+    built = Counter()
+    real = scalar._binomial_parts
+
+    def counting(z):
+        built[z.coef, z.exp] += 1
+        return real(z)
+    monkeypatch.setattr(scalar, "_binomial_parts", counting)
+    first = build()
+    assert built and set(built.values()) == {1}
+    once = Counter(built)
+    assert build() == first
+    assert built == once + once  # a second call builds its own table
+    # the table changes no factor: den is its monomial part times prod p^need
+    for c in first.terms.values():
+        den = SparsePoly.one().shift(c.unit[1])
+        for p, need in c.den_factors:
+            for _ in range(need):
+                den = den * p
+        assert c.den == den

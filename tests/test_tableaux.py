@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from cdmac.tableaux import (Alphabet, OneRowTableau, count_closed_form,
+from cdmac.tableaux import (Alphabet, OneRowTableau, count_closed_form, count_up_to,
                             enumerate_tableaux, is_valid)
 
 
@@ -18,6 +18,17 @@ def test_counts_closed_form(n, r):
     assert len(enumerate_tableaux(Alphabet("C", n), r)) == comb(r + 2 * n - 1, 2 * n - 1)
     got = len(enumerate_tableaux(Alphabet("D", n), r))
     assert got == count_closed_form("D", n, r)
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_count_up_to_is_the_capped_closed_form(family):
+    for n in range(1, 6):
+        for r in range(12):
+            count = count_closed_form(family, n, r)
+            for cap in (0, 1, count - 1, count, count + 1, 10 ** 9):
+                assert count_up_to(family, n, r, cap) == min(count, cap + 1)
+    # O(log cap) steps where comb(3 * 10^6, 10^6) would take about a minute
+    assert count_up_to(family, 10 ** 6, 10 ** 6, 2 ** 64) == 2 ** 64 + 1
 
 
 def test_weight():
