@@ -79,7 +79,7 @@ def _format_poly(p: LaurentPoly, args) -> str:
 
 def _verify(args) -> tuple[int, str]:
     suites = verify.SUITES[:-1] if args.suite == "all" else (args.suite,)
-    verify.check_budget(suites, args.n, args.r, args.budget)  # before any suite starts
+    verify.check_budget(suites, args.n, args.r, args.budget, args.samples)  # before any suite
     reports = []
     ok = True
     for name in suites:

@@ -17,8 +17,8 @@ All symbolic output is a LaurentPoly over the Scalar field; coefficients are
 accumulated through FactoredScalar so that each weight's sum is produced over
 a least common denominator.  Each term generator owns two tables for the
 length of its call: the letter blocks, and the binomials 1 - z that every
-FactoredScalar it builds shares, so that each distinct binomial and each
-block is built once per call.
+FactoredScalar it builds shares, so that each distinct binomial, each block
+and the prefactor are built once per call.
 """
 
 from __future__ import annotations
@@ -146,14 +146,15 @@ def _prefactor(fs: FactoredScalar, r: int) -> FactoredScalar:
 # In the l-loops below, Sp = sum(th[l:2n-l]) (in _terms_C_general, without
 # the middle pair and with d in its place) and S = th[l-1] + Sp.  Both are
 # running sums, so a term costs O(n), and an l with no letter lbar adds no
-# factor, since (z;q)_0 = 1.
+# factor, since (z;q)_0 = 1.  Every term merges the one prefactor.
 
 def _terms_D(n: int, r: int):
     """(weight, coefficient) per type-D tableau."""
     blocks, binomials = {}, {}
+    pref = _prefactor(FactoredScalar(binomials), r)
     for tab in enumerate_tableaux(Alphabet("D", n), r):
         th = tab.theta
-        fs = _letter_factors(_prefactor(FactoredScalar(binomials), r), th, blocks)
+        fs = _letter_factors(FactoredScalar(binomials).times(pref), th, blocks)
         Sp = r - th[0] - th[2 * n - 1]
         for l in range(1, n):
             tl = th[2 * n - l]
@@ -170,9 +171,10 @@ def _terms_D(n: int, r: int):
 def _terms_C_special(n: int, r: int):
     """(weight, coefficient) per type-C tableau at T = t^2/q."""
     blocks, binomials = {}, {}
+    pref = _prefactor(FactoredScalar(binomials), r)
     for tab in enumerate_tableaux(Alphabet("C", n), r):
         th = tab.theta
-        fs = _letter_factors(_prefactor(FactoredScalar(binomials), r), th, blocks)
+        fs = _letter_factors(FactoredScalar(binomials).times(pref), th, blocks)
         Sp = r - th[0] - th[2 * n - 1]
         for l in range(1, n + 1):
             tl = th[2 * n - l]
@@ -189,12 +191,13 @@ def _terms_C_special(n: int, r: int):
 def _terms_C_general(n: int, r: int, Tm: Mon):
     """(weight, coefficient) per type-C tableau, free T."""
     blocks, binomials = {}, {}
+    pref = _prefactor(FactoredScalar(binomials), r)
     for tab in enumerate_tableaux(Alphabet("C", n), r):
         th = tab.theta
         thn, thnb = th[n - 1], th[n]
         theta = min(thn, thnb)
         d = abs(thn - thnb)
-        fs = _letter_factors(_prefactor(FactoredScalar(binomials), r),
+        fs = _letter_factors(FactoredScalar(binomials).times(pref),
                              th[:n - 1] + th[n + 1:] + (d,), blocks)
         Sp = r - th[0] - thn - thnb - th[2 * n - 1] + d
         for l in range(1, n):

@@ -32,7 +32,7 @@ GEN_NAMES = ("q^{1/2}", "t^{1/2}", "T^{1/2}")
 # exponent packing: a 21-bit field per generator holding an exponent in
 # [0, 2^20), which _pack checks.  Bit 20 of each field is a guard bit that a
 # valid key leaves at 0: a sum of two valid keys that overflows a field sets
-# it instead of carrying into the next field, and SparsePoly.__mul__ checks it
+# it instead of carrying into the next field, and _mul_dicts checks it
 _SHIFT_U = 42
 _SHIFT_V = 21
 _MASK = (1 << 20) - 1
@@ -53,6 +53,36 @@ def _unpack(key: int) -> tuple[int, int, int]:
 def _grlex(key: int):
     eu, ev, ew = _unpack(key)
     return (eu + ev + ew, eu, ev, ew)
+
+
+def _mul_dicts(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a * b on packed integer dicts, zero terms kept: a shifted copy of the
+    longer by the first term of the shorter, which each other term adds to."""
+    if len(a) < len(b):
+        a, b = b, a
+    (kb, cb), *rest = b.items()
+    out = {ka + kb: ca * cb for ka, ca in a.items()}
+    get = out.get
+    for kb, cb in rest:
+        for ka, ca in a.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    if reduce(or_, out) & _GUARD:
+        raise UsageError("a product's generator exponent leaves the 20-bit "
+                         "packing range [0, 2^20)")
+    return out
+
+
+def times_power(a: dict[int, int], p: dict[int, int], k: int) -> dict[int, int]:
+    """a * p**k on packed integer dicts, zero terms dropped (a itself for
+    k <= 0).  For a binomial p, p**k comes first: k + 1 passes over a, where
+    k products by p take 2k."""
+    if not a or k <= 0:
+        return a
+    b = p
+    for _ in range(k - 1):
+        b = _mul_dicts(b, p)
+    return {m: c for m, c in _mul_dicts(a, b).items() if c}
 
 
 class SparsePoly:
@@ -186,22 +216,11 @@ class SparsePoly:
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         if self.is_zero() or other.is_zero():
             return SparsePoly.zero()
-        a, b = self.prim, other.prim
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, int] = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        if reduce(or_, out) & _GUARD:
-            raise UsageError("a product's generator exponent leaves the 20-bit "
-                             "packing range [0, 2^20)")
-        out = {k: c for k, c in out.items() if c}
+        out = _mul_dicts(self.prim, other.prim)
         # product of primitive integer polynomials is primitive; sign of the
         # leading coefficient is the product of signs, already positive here
-        return SparsePoly(self.content * other.content, out, _normalized=True)
+        return SparsePoly(self.content * other.content, {k: c for k, c in out.items() if c},
+                          _normalized=True)
 
     def scaled(self, c) -> "SparsePoly":
         c = Fraction(c)

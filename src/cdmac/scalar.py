@@ -17,8 +17,8 @@ correlation kernels): it keeps a product of binomial factors
 (1 - c*u^a v^b w^c) unexpanded, so that sums of many such products can share
 a true least-common denominator instead of the naive product of
 denominators.  sum_factored hands that denominator's binomial factors on
-with its result.  Scalar.canonical (the serialization boundary) has one
-reduction rule, a gcd against each binomial factor of the denominator,
+with its result, unexpanded until den is read.  Scalar.canonical (the
+serialization boundary) has one reduction rule, a gcd against each binomial factor of the denominator,
 divided out along the binomial's lattice line: the LCD binomials of a
 sum_factored result, or the denominator itself of a plain Scalar whose
 denominator is a monomial times a binomial.  poly.poly_gcd takes binomials
@@ -225,12 +225,17 @@ class Scalar:
         its monomial part, which must be a binomial (ValueError otherwise).
         The reduced representative is unique, so both print the same bytes.
         """
-        if self.is_zero() or self.den == _ONE_P:
+        if self.is_zero():
             return self
         factors = getattr(self, "den_factors", None)
         if factors is None:
-            factors = ((self.den.shift(tuple(-e for e in self.den.min_exps())), 1),)
-        return Scalar(*_cancel_den_factors(self.num, self.den, factors))
+            mono = self.den.min_exps()
+            factors = ((self.den.shift(tuple(-e for e in mono)), 1),)
+        else:
+            mono = self.den_unit()[1]
+        if not any(mono) and all(p.is_monomial() for p, _ in factors):
+            return self  # den == 1
+        return Scalar(*_cancel_den_factors(self.num, mono, factors))
 
     def eval(self, u, v, w) -> Fraction:
         """Instantiate the generators at exact rationals."""
@@ -259,12 +264,18 @@ class Scalar:
 class _FactoredDenScalar(Scalar):
     """A sum_factored result with its denominator's factorization attached.
 
-    den is a monomial times the product of p**need over den_factors, a tuple
-    of (primitive binomial SparsePoly, need) pairs.  Plain Scalar arithmetic
-    on it yields plain Scalars, so the attachment costs the arithmetic nothing.
+    den is unit's monomial times prod p**need over den_factors, a tuple of
+    (primitive binomial SparsePoly, need) pairs.  Factored ==, canonical and
+    den_unit read only those, so sum_factored leaves den to its first read.
     """
 
     __slots__ = ("den_factors", "unit")
+
+    def __getattr__(self, name):  # called only for an empty slot
+        if name != "den":
+            raise AttributeError(name)
+        self.den = _expand_den(*self.unit, self.den_factors)
+        return self.den
 
     def den_unit(self) -> tuple[Fraction, tuple[int, int, int]]:
         """(c, m) with den == c * x^m * prod p**need over den_factors.
@@ -280,27 +291,32 @@ class _FactoredDenScalar(Scalar):
             return self.den.content, self.den.min_exps()
 
 
+def _expand_den(c: Fraction, mono, den_factors) -> SparsePoly:
+    """c * x^mono * prod p**need over den_factors, multiplied out."""
+    prim = {_pack(*mono): 1}
+    for p, need in den_factors:
+        prim = poly.times_power(prim, p.prim, need)
+    return SparsePoly(c, prim, _normalized=True)
+
+
 def _factored_eq(a: _FactoredDenScalar, b: _FactoredDenScalar) -> bool:
     """a == b by cross-multiplication with the shared prod p**min(need)
     cancelled: each numerator takes the other side's monomial part and
     content, and only the binomial copies the other side has beyond its own.
     Binomials are matched by their primitive prim items, as in
     FactoredScalar."""
-    lhs, rhs = a.num, b.num
+    lhs, rhs = a.num.prim, b.num.prim
     mine = {tuple(sorted(p.prim.items())): (p, need) for p, need in a.den_factors}
     for p, need in b.den_factors:
         extra = need - mine.pop(tuple(sorted(p.prim.items())), (p, 0))[1]
-        for _ in range(extra):
-            lhs = lhs * p
-        for _ in range(-extra):
-            rhs = rhs * p
+        lhs, rhs = poly.times_power(lhs, p.prim, extra), poly.times_power(rhs, p.prim, -extra)
     for p, need in mine.values():
-        for _ in range(need):
-            rhs = rhs * p
+        rhs = poly.times_power(rhs, p.prim, need)
     ca, ma = a.den_unit()
     cb, mb = b.den_unit()
     low = tuple(map(min, ma, mb))
-    return _times_unit(lhs, cb, mb, low) == _times_unit(rhs, ca, ma, low)
+    return _times_unit(SparsePoly(a.num.content, lhs, _normalized=True), cb, mb, low) == \
+        _times_unit(SparsePoly(b.num.content, rhs, _normalized=True), ca, ma, low)
 
 
 def _times_unit(p: SparsePoly, c: Fraction, m, low) -> SparsePoly:
@@ -309,10 +325,10 @@ def _times_unit(p: SparsePoly, c: Fraction, m, low) -> SparsePoly:
     return p.scaled(c).shift(d) if any(d) else p.scaled(c)
 
 
-def _cancel_den_factors(num: SparsePoly, den: SparsePoly, den_factors):
+def _cancel_den_factors(num: SparsePoly, mono, den_factors):
     """Reduce num/den by a gcd against each known factor of den.
 
-    den is a monomial times the product of p**need over den_factors.  Each
+    den is x^mono times the product of p**need over den_factors.  Each
     copy of p cancels gcd(num, p) from num and leaves p / gcd in the
     denominator.  Every LCD binomial is squarefree (X^g - c after a
     unimodular change of the exponent lattice), so one copy at a time leaves
@@ -321,7 +337,7 @@ def _cancel_den_factors(num: SparsePoly, den: SparsePoly, den_factors):
     as the single factor (den', 1).  Returns the reduced (num, den).
     """
     quo = SparsePoly(Fraction(1), num.prim, _normalized=True)
-    left = SparsePoly.one().shift(den.min_exps())
+    left = SparsePoly.one().shift(mono)
     for p, need in den_factors:
         if p.is_monomial():  # the binomial 1 - c of a constant c
             continue
@@ -477,7 +493,8 @@ def sum_factored(terms) -> Scalar:
     Terms are grouped by _signature.  Each group's coef * x^mexp parts add
     into one small integer polynomial over the common denominator of all
     coefficients, which is multiplied by the group's LCD cofactor once; every
-    group lands in one integer dict, normalized once.
+    group lands in one integer dict, normalized once.  The denominator is
+    left unexpanded (_FactoredDenScalar).
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
@@ -504,21 +521,15 @@ def sum_factored(terms) -> Scalar:
         group[1][k] = group[1].get(k, 0) + t.coef.numerator * (scale // t.coef.denominator)
     acc: dict[int, int] = {}
     for factors, small in groups.values():
-        # an integer polynomial that need not be primitive: the products
-        # below and acc read only its integer terms
-        part = SparsePoly(Fraction(1), {k: c for k, c in small.items() if c}, _normalized=True)
-        if part.is_zero():
-            continue
+        part = {k: c for k, c in small.items() if c}
         # the group's cofactor: p^(m + need) for each of its factors, and
         # p^need for each LCD binomial it lacks
         for key, (p, m) in factors.items():
-            for _ in range(m + lcm_den.get(key, (None, 0))[1]):
-                part = part * p
+            part = poly.times_power(part, p.prim, m + lcm_den.get(key, (None, 0))[1])
         for key, (p, need) in lcm_den.items():
             if key not in factors:
-                for _ in range(need):
-                    part = part * p
-        for k, c in part.prim.items():
+                part = poly.times_power(part, p.prim, need)
+        for k, c in part.items():
             acc[k] = acc.get(k, 0) + c
     num = SparsePoly(Fraction(1, scale), {k: c for k, c in acc.items() if c})
     if num.is_zero():
@@ -534,11 +545,8 @@ def sum_factored(terms) -> Scalar:
         if any(mu):
             num = num.shift(tuple(-e for e in mu))
         mono = tuple(a - b for a, b in zip(low, mu))
-        den = SparsePoly.one().shift(mono)
-        for p, need in lcm_den.values():
-            for _ in range(need):
-                den = den * p
-        out = _FactoredDenScalar(num, den, _normalized=True)
+        out = _FactoredDenScalar.__new__(_FactoredDenScalar)  # den is built on first read
+        out.num = num
     out.den_factors = tuple((p, need) for p, need in lcm_den.values())
     out.unit = (Fraction(1), mono)
     return out

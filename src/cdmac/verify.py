@@ -364,11 +364,19 @@ def _suite_builds(name: str, n_max: int, r_max: int):
                     yield from [(family, n, r)] * 3
 
 
-def check_budget(names, n_max: int, r_max: int, budget: int) -> None:
-    """Refuse, before any work, suites whose polynomial builds sum more than
-    budget tableaux (tableaux.count_up_to per build)."""
+def check_budget(names, n_max: int, r_max: int, budget: int, samples: int = 0) -> None:
+    """Refuse, before any work, a chosen suite that would run no instance,
+    more than budget sampled instances (samples per identity), or polynomial
+    builds that sum more than budget tableaux (tableaux.count_up_to each)."""
+    drawn = samples * sum(len(suite_identities(name)) for name in names)
+    if drawn > budget:
+        raise UsageError(f"{drawn} sampled instances exceed the budget {budget}")
     total = 0
     for name in names:
+        if (samples < 1 if name in SUITE_IDENTITIES else
+                n_max < (2 if name.startswith("transform") else 1) or r_max < 0):
+            raise UsageError(f"suite {name} runs no instance at samples = {samples}, "
+                             f"n <= {n_max}, r <= {r_max}")
         for family, n, r in _suite_builds(name, n_max, r_max):
             total += count_up_to(family, n, r, budget - total)
             if total > budget:
@@ -380,7 +388,7 @@ def run_suite(name: str, seed: int = 0, samples: int = 25, n_max: int = 3,
               r_max: int = 4, budget: int = 50000, corrupt: str | None = None) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    check_budget(SUITES[:-1] if name == "all" else (name,), n_max, r_max, budget)
+    check_budget(SUITES[:-1] if name == "all" else (name,), n_max, r_max, budget, samples)
     idents = suite_identities(name)
     if corrupt is not None and corrupt not in idents:
         # a negative control that the suite never runs cannot fail

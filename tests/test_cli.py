@@ -10,6 +10,7 @@ import test_scalar
 
 from cdmac import macdonald, tableaux, verify
 from cdmac.cli import main
+from cdmac.errors import UsageError
 from cdmac.laurent import LaurentPoly
 from cdmac.poly import SparsePoly
 from cdmac.scalar import Scalar
@@ -93,7 +94,8 @@ def test_printed_output_reads_back(capsys, case, fmt):
     ["compute", "--family", "D", "--n", "600", "--r", "0"],
     ["compute", "--family", "D", "--n", "600", "--r", "1", "--via", "lassalle"],
     ["tableaux", "--family", "D", "--n", "600", "--r", "0"],
-    ["compute", "--family", "D", "--n", "1000000", "--r", "0"]], ids=" ".join)
+    ["compute", "--family", "D", "--n", "1000000", "--r", "0"],
+    ["verify", "--suite", "lassalleD", "--n", "600", "--r", "0"]], ids=" ".join)
 def test_large_rank_runs(capsys, argv):
     # the composition enumerator keeps no recursion as deep as the rank, and
     # a tableau term costs O(n)
@@ -106,7 +108,8 @@ def test_large_rank_runs(capsys, argv):
     ["verify", "--suite", "eigen", "--n", "600", "--r", "1"],
     ["verify", "--suite", "all", "--n", "1000000", "--r", "1000000"],
     ["compute", "--family", "D", "--n", "1000000", "--r", "1000000"],
-    ["compute", "--family", "D", "--n", "1", "--r", "1000000"]], ids=" ".join)
+    ["compute", "--family", "D", "--n", "1", "--r", "1000000"],
+    ["verify", "--suite", "classical", "--samples", "1000000000"]], ids=" ".join)
 def test_budget_refuses_before_any_work(capsys, argv):
     # the guard sums closed-form counts, and never builds a binomial of
     # millions of digits; (q;q)_r at r = 10^6 leaves the packing range
@@ -133,6 +136,33 @@ def test_verify_budget_sums_the_chosen_suites(capsys):
     code, _, _ = run(capsys, "verify", "--suite", "lassalleD", "--n", "2", "--r", "2",
                      "--budget", "37")
     assert code == 2
+
+
+def test_verify_samples_budget():
+    # 7 classical identities and thm_2_2 at 500 samples each, as perfbench
+    # runs them, and every suite at the defaults stay inside the budget
+    verify.check_budget(("classical", "thm22"), 3, 4, 50000, 500)
+    verify.check_budget(verify.SUITES[:-1], 3, 4, 50000, 25)
+    verify.check_budget(("classical", "thm22"), 1, 0, 50000, 6250)  # 8 * 6250 = 50000
+    with pytest.raises(UsageError, match="^50001 sampled instances exceed the budget 50000$"):
+        verify.check_budget(("thm22", "lassalleD"), 1, 0, 50000, 50001)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "classical", "--samples", "0"],
+    ["verify", "--suite", "thm22", "--samples", "-3", "--corrupt", "thm_2_2"],
+    ["verify", "--suite", "transformII", "--n", "1"],
+    ["verify", "--suite", "transformIII", "--n", "1"],
+    ["verify", "--suite", "all", "--samples", "0"]], ids=" ".join)
+def test_verify_refuses_a_suite_with_no_instance(monkeypatch, capsys, argv):
+    # a run with no result must not pass, and a negative control with no
+    # instance cannot fail
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a suite started")
+    monkeypatch.setattr(verify, "run_suite", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: suite ") and "runs no instance" in err
 
 
 def test_tableaux_budget_checked_before_any_work(capsys):

@@ -12,7 +12,8 @@ from functools import cache
 
 import pytest
 
-from cdmac import macdonald, oracle, walgebra
+from cdmac import macdonald, oracle, scalar, walgebra
+from cdmac.cli import main
 from cdmac.poly import Mon, SparsePoly
 from cdmac.scalar import FactoredScalar, _FactoredDenScalar, sum_factored
 
@@ -149,3 +150,42 @@ def test_perturbed_numerator_compares_unequal(case):
             for other in outs.values():  # the same value, over each route's LCD
                 assert other.terms[w] == v
                 assert not bumped == other.terms[w] and not other.terms[w] == bumped
+
+
+# the cases of perfbench's routes workload
+ROUTES = [("D", 3, 4), ("C", 3, 4), ("D", 3, 5), ("D", 4, 4), ("D", 2, 6)]
+
+
+def test_compute_and_route_equality_expand_no_den(monkeypatch, capsys):
+    # compute reduces through unit and den_factors, and factored == reads
+    # them only, so neither multiplies an LCD binomial copy into a den
+    copies = []
+    real = scalar._expand_den
+
+    def counting(c, mono, den_factors):
+        copies.append(sum(need for _, need in den_factors))
+        return real(c, mono, den_factors)
+    monkeypatch.setattr(scalar, "_expand_den", counting)
+    for via in ("tableau", "lassalle", "walgebra"):
+        assert main(["compute", "--family", "D", "--n", "3", "--r", "4", "--via", via]) == 0
+    assert capsys.readouterr().out
+    values = []
+    for family, n, r in ROUTES:
+        T = macdonald.T_SPECIAL if family == "C" else None
+        tab = macdonald.tableau_poly(family, n, r, T)
+        assert tab == macdonald.lassalle_invert(family, n, r, T)
+        assert tab == walgebra.phi_principal(family, n, r)
+        values.extend(tab.terms.values())
+    # compute prints a value whose den is 1 as it is, and so reads that den
+    assert sum(copies) == 0
+    before = len(copies)
+    # a den read afterwards is built once, and is still its monomial part
+    # times prod p^need
+    for v in values:
+        expect = SparsePoly.one().shift(v.unit[1])
+        for p, need in v.den_factors:
+            for _ in range(need):
+                expect = expect * p
+        assert v.den == expect and v.den is v.den
+    assert len(copies) - before == len(values)
+    assert sum(copies) == sum(need for v in values for _, need in v.den_factors)

@@ -9,9 +9,12 @@ eigenvalue, and the exact coefficient quotient of its ring division.  A
 q-series fault sits in the kernel that the sampled identity suites share.
 Three more plant faults in the letter blocks of the tableau and inversion
 terms, in the grouping of sum_factored and in the printer that every
-route's output goes through.  The last two plant faults in the per-call
-binomial table of FactoredScalar and in the polynomial product that every
-exact sum runs.
+route's output goes through.  Two plant faults in the per-call binomial
+table of FactoredScalar and in the polynomial product that every exact sum
+runs.  The last three plant faults in the lazily built denominator of a
+sum_factored result, in FactoredScalar.times, which merges the shared
+prefactor and blocks into every term, and in the letter counts of the G_r
+terms.
 """
 
 import random
@@ -510,29 +513,159 @@ def test_binomial_table_without_coefficient_caught_by_eigen(monkeypatch):
 
 def test_product_sign_flip_caught_by_eigen(monkeypatch):
     fired = []
-    real = SparsePoly.__mul__
+    real = poly._mul_dicts
 
     def sign_flipped(a, b):
-        # the sign of every product of more than 40 terms
+        # the sign of every product of more than 40 terms, in the kernel that
+        # SparsePoly.__mul__ and the LCD cofactors of poly.times_power share
         out = real(a, b)
-        if len(out.prim) <= 40:
+        if len(out) <= 40:
             return out
-        fired.append(len(out.prim))
-        return -out
-    monkeypatch.setattr(SparsePoly, "__mul__", sign_flipped)
+        fired.append(len(out))
+        return {k: -c for k, c in out.items()}
+    monkeypatch.setattr(poly, "_mul_dicts", sign_flipped)
     certs = {f"{family} {key}": value for family in ("D", "C")
              for key, value in _eigen_certificates(family, 2, 3).items()}
     assert fired
-    # data: tableau and correlation sums multiply the same LCD cofactors, so
-    # they agree; the full path's plain Scalar products flip too, but
-    # differently; the eigen operator multiplies no SparsePoly
+    # data: at D the tableau and correlation sums flip the same LCD
+    # cofactors and agree; the full path's plain Scalar products flip too,
+    # but differently; the eigen operator multiplies no SparsePoly
     assert certs == {"D tableau = inversion": True,
                      "D tableau = correlation": True,
                      "D correlation = full path": False,
                      "D eigen": True,
                      "D principal closed form": True,
                      "C tableau = inversion": False,
-                     "C tableau = correlation": True,
+                     "C tableau = correlation": False,
                      "C correlation = full path": False,
                      "C eigen": False,
                      "C principal closed form": False}
+
+
+def _compute_text(capsys, *argv) -> str:
+    assert main(["compute", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def _g2_expansion_at_5_7() -> bool:
+    fam = {row: macdonald.tableau_poly_C_general(2, row, Fraction(5, 7)) for row in range(3)}
+    return (macdonald.lassalle_expand("C", 2, 2, fam, Fraction(5, 7))
+            - macdonald.g_series(2, 2)).is_zero()
+
+
+def _den_fault_certificates(family: str, capsys) -> dict:
+    """_certificates at (2, 3), the eigen check (its outcome, or the name of
+    what it raises), the principal closed form and the compute bytes, which
+    are compared with clean bytes taken before the fault is planted."""
+    T = macdonald.T_SPECIAL if family == "C" else None
+    certs = _certificates(family, 2, 3)
+    try:
+        certs["eigen"] = verify.eigen_check(family, 2, 3, T)
+    except NonLaurentResultError:
+        certs["eigen"] = "raises NonLaurentResultError"
+    certs["principal closed form"] = macdonald.principal_specialize(family, 2, 3, T) == \
+        macdonald.principal_closed_form(family, 2, 3, T)
+    return certs
+
+
+def test_den_one_copy_short_caught_by_full_path(monkeypatch, capsys):
+    clean = _compute_text(capsys, "--family", "D", "--n", "2", "--r", "3")
+    fired = []
+    real = scalar._expand_den
+
+    def one_copy_short(c, mono, den_factors):
+        # den built with one copy fewer of its first LCD binomial
+        factors = list(den_factors)
+        if factors:
+            fired.append(factors[0])
+            factors[0] = (factors[0][0], factors[0][1] - 1)
+        return real(c, mono, factors)
+    monkeypatch.setattr(scalar, "_expand_den", one_copy_short)
+    certs = {f"{family} {key}": value for family in ("D", "C")
+             for key, value in _den_fault_certificates(family, capsys).items()}
+    certs["G_2 expansion, T = 5/7"] = _g2_expansion_at_5_7()
+    certs["compute bytes"] = _compute_text(capsys, "--family", "D", "--n", "2",
+                                           "--r", "3") == clean
+    assert fired
+    # data: factored ==, canonical and so the printed bytes read no den; the
+    # full path compares in plain Scalar arithmetic, and eval (eigen) and
+    # the plain sums of the G_2 expansion read den
+    assert certs == {"D tableau = inversion": True,
+                     "D tableau = correlation": True,
+                     "D correlation = full path": False,
+                     "D eigen": "raises NonLaurentResultError",
+                     "D principal closed form": True,
+                     "C tableau = inversion": True,
+                     "C tableau = correlation": True,
+                     "C correlation = full path": False,
+                     "C eigen": "raises NonLaurentResultError",
+                     "C principal closed form": True,
+                     "G_2 expansion, T = 5/7": False,
+                     "compute bytes": True}
+
+
+def test_times_sharing_slots_caught_by_correlation(monkeypatch, capsys):
+    clean = _compute_text(capsys, "--family", "D", "--n", "2", "--r", "2")
+    fired = []
+
+    def sharing(self, other):
+        # FactoredScalar.times that takes other's [p, mult] list itself
+        # where it has no slot, so a later factor of the term changes the
+        # shared prefactor or block for every term after it
+        self.coef *= other.coef
+        self.mexp = tuple(a + b for a, b in zip(self.mexp, other.mexp))
+        for key, theirs in other.factors.items():
+            slot = self.factors.get(key)
+            if slot is None:
+                fired.append(key)
+                self.factors[key] = theirs
+            else:
+                slot[1] += theirs[1]
+                if slot[1] == 0:
+                    del self.factors[key]
+        return self
+    monkeypatch.setattr(FactoredScalar, "times", sharing)
+    # at (2, 2): at (2, 3) the inversion route's inflated letter blocks
+    # take about 30 s
+    certs = _eigen_certificates("D", 2, 2)
+    certs["compute bytes"] = _compute_text(capsys, "--family", "D", "--n", "2",
+                                           "--r", "2") == clean
+    assert fired
+    # data: the tableau and inversion routes merge the shared prefactor and
+    # letter blocks; at (2, 2) the correlation route still equals its full
+    # path, which merges nothing, and so tableau = correlation fails
+    assert certs == {"tableau = inversion": False,
+                     "tableau = correlation": False,
+                     "correlation = full path": True,
+                     "eigen": False,
+                     "principal closed form": False,
+                     "compute bytes": False}
+
+
+def test_off_by_one_g_terms_caught_by_tableau(monkeypatch):
+    fired = []
+    real = macdonald._letter_factors
+
+    def first_count_plus_one(fs, counts, blocks):
+        # the terms of G_r read their first letter count one too high
+        if sys._getframe(1).f_code is macdonald._g_terms.__code__:
+            fired.append(counts)
+            counts = (counts[0] + 1, *counts[1:])
+        return real(fs, counts, blocks)
+    monkeypatch.setattr(macdonald, "_letter_factors", first_count_plus_one)
+    certs = {f"{family} {key}": value for family in ("D", "C")
+             for key, value in _eigen_certificates(family, 2, 3).items()}
+    certs["G_2 expansion, T = 5/7"] = _g2_expansion_at_5_7()
+    assert fired
+    # data: only the inversion route and g_series build G_r terms
+    assert certs == {"D tableau = inversion": False,
+                     "D tableau = correlation": True,
+                     "D correlation = full path": True,
+                     "D eigen": True,
+                     "D principal closed form": True,
+                     "C tableau = inversion": False,
+                     "C tableau = correlation": True,
+                     "C correlation = full path": True,
+                     "C eigen": True,
+                     "C principal closed form": True,
+                     "G_2 expansion, T = 5/7": False}

@@ -265,6 +265,21 @@ def test_letter_blocks_built_once_per_call(monkeypatch):
     assert built == Counter({k: 2 for k in range(1, 6)})
 
 
+@pytest.mark.parametrize("args", [("D", 3, 5), ("C", 2, 4), ("C", 2, 4, Mon.T())],
+                         ids=["D", "C t^2/q", "C symbolic"])
+def test_prefactor_built_once_per_call(monkeypatch, args):
+    # (q;q)_r/(t;q)_r is the same for every tableau term of a call
+    calls = []
+    real = macdonald._prefactor
+
+    def counting(fs, r):
+        calls.append(r)
+        return real(fs, r)
+    monkeypatch.setattr(macdonald, "_prefactor", counting)
+    tableau_poly(*args)
+    assert calls == [args[2]]
+
+
 @pytest.mark.parametrize("build", [
     lambda: tableau_poly("D", 3, 5),
     lambda: lassalle_invert("D", 3, 5),

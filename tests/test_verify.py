@@ -61,6 +61,14 @@ def test_run_suite_refuses_a_corrupt_identity_it_does_not_run():
     assert not verify.run_suite("thm22", seed=0, samples=3, corrupt="thm_2_2").passed
 
 
+def test_run_suite_refuses_a_suite_with_no_instance():
+    # an empty report would pass
+    for suite, kwargs in (("classical", {"samples": 0}), ("transformII", {"n_max": 1}),
+                          ("lassalleD", {"r_max": -1}), ("all", {"samples": 0})):
+        with pytest.raises(UsageError, match="runs no instance"):
+            verify.run_suite(suite, **kwargs)
+
+
 def test_lassalleC_builds_each_g_row_once(monkeypatch):
     calls = []
     real = macdonald.g_series
