@@ -3,7 +3,8 @@
 Three independent constructions live here:
 
   * the tableau sums (one term per one-row tableau, with explicit
-    q-shifted-factorial coefficients),
+    q-shifted-factorial coefficients): a free-T sum, which is family D at
+    T = 1, and a separate sum for C at T = t^2/q that certifies it,
   * the inversion route through the generating series G_r, and
   * principal specializations with their closed product forms.
 
@@ -143,30 +144,10 @@ def _prefactor(fs: FactoredScalar, r: int) -> FactoredScalar:
     return fs.times_poch(Mon.q(), r).div_poch(Mon.t(), r)
 
 
-# In the l-loops below, Sp = sum(th[l:2n-l]) (in _terms_C_general, without
-# the middle pair and with d in its place) and S = th[l-1] + Sp.  Both are
+# In the l-loops below, Sp = sum(th[l:2n-l]) (in _terms_free_T, without the
+# middle pair and with d in its place) and S = th[l-1] + Sp.  Both are
 # running sums, so a term costs O(n), and an l with no letter lbar adds no
 # factor, since (z;q)_0 = 1.  Every term merges the one prefactor.
-
-def _terms_D(n: int, r: int):
-    """(weight, coefficient) per type-D tableau."""
-    blocks, binomials = {}, {}
-    pref = _prefactor(FactoredScalar(binomials), r)
-    for tab in enumerate_tableaux(Alphabet("D", n), r):
-        th = tab.theta
-        fs = _letter_factors(FactoredScalar(binomials).times(pref), th, blocks)
-        Sp = r - th[0] - th[2 * n - 1]
-        for l in range(1, n):
-            tl = th[2 * n - l]
-            if tl:
-                S = Sp + th[l - 1]
-                fs.times_poch(_tq(n - l, Sp), tl)
-                fs.times_poch(_tq(n - l - 1, S + 1), tl)
-                fs.div_poch(_tq(n - l - 1, Sp + 1), tl)
-                fs.div_poch(_tq(n - l, S), tl)
-            Sp -= th[l] + th[2 * n - l - 1]
-        yield tab.weight(), fs
-
 
 def _terms_C_special(n: int, r: int):
     """(weight, coefficient) per type-C tableau at T = t^2/q."""
@@ -188,11 +169,13 @@ def _terms_C_special(n: int, r: int):
         yield tab.weight(), fs
 
 
-def _terms_C_general(n: int, r: int, Tm: Mon):
-    """(weight, coefficient) per type-C tableau, free T."""
+def _terms_free_T(family: str, n: int, r: int, Tm: Mon):
+    """(weight, coefficient) per tableau of the family's alphabet, free T.
+    Family D is the T = 1 case: no D tableau holds both n and nbar, so its
+    theta is 0 and its d is theta_n + theta_nbar."""
     blocks, binomials = {}, {}
     pref = _prefactor(FactoredScalar(binomials), r)
-    for tab in enumerate_tableaux(Alphabet("C", n), r):
+    for tab in enumerate_tableaux(Alphabet(family, n), r):
         th = tab.theta
         thn, thnb = th[n - 1], th[n]
         theta = min(thn, thnb)
@@ -209,25 +192,24 @@ def _terms_C_general(n: int, r: int, Tm: Mon):
                 fs.div_poch(_tq(n - l, S), tl)
                 fs.div_poch(_tq(n - l - 1, Sp + 1), tl)
             Sp -= th[l] + th[2 * n - l - 1]
-        fs.times_poch(Tm, theta)
-        fs.times_poch(_tq(n, r - 2 * theta), 2 * theta)
-        fs.div_poch(Mon.q(), theta)
-        fs.div_poch(Tm * _tq(n - 1, r - theta), theta)
-        fs.div_poch(_tq(n - 1, r - 2 * theta + 1), theta)
+        if theta:
+            fs.times_poch(Tm, theta)
+            fs.times_poch(_tq(n, r - 2 * theta), 2 * theta)
+            fs.div_poch(Mon.q(), theta)
+            fs.div_poch(Tm * _tq(n - 1, r - theta), theta)
+            fs.div_poch(_tq(n - 1, r - 2 * theta + 1), theta)
         yield tab.weight(), fs
 
 
 def _tableau_terms(family: str, n: int, r: int, T=None):
     """(weight, coefficient) per tableau; C at T_SPECIAL (or no T) takes the
-    special sum."""
+    special sum, every other family and T the free-T sum."""
     Tm = _family_T(family, T)
     if n < 1 or r < 0:
         raise UsageError("need n >= 1, r >= 0")
-    if family == "D":
-        return _terms_D(n, r)
-    if T is None or T == T_SPECIAL:
+    if family == "C" and (T is None or T == T_SPECIAL):
         return _terms_C_special(n, r)
-    return _terms_C_general(n, r, Tm)
+    return _terms_free_T(family, n, r, Tm)
 
 
 def tableau_poly(family: str, n: int, r: int, T=None) -> LaurentPoly:
@@ -236,7 +218,8 @@ def tableau_poly(family: str, n: int, r: int, T=None) -> LaurentPoly:
 
 
 def tableau_poly_D(n: int, r: int) -> LaurentPoly:
-    """Type D one-row polynomial as a sum over tableaux with theta_n*theta_nbar=0."""
+    """Type D one-row polynomial: the free-T sum at T = 1 over the D alphabet,
+    whose tableaux have theta_n*theta_nbar = 0."""
     return _from_terms(n, _tableau_terms("D", n, r))
 
 
@@ -249,13 +232,14 @@ def tableau_poly_C_general(n: int, r: int, T) -> LaurentPoly:
     """Type C one-row polynomial with a free parameter T.
 
     The degenerate-pair block carries (T;q)_theta with theta the smaller of
-    the two middle occupancies; at T = t^2/q the value agrees with
-    tableau_poly_C_special although the two sums differ term by term.
+    the two middle occupancies; tableau_poly_D is the same sum at T = 1 over
+    the D alphabet.  At T = t^2/q the value agrees with tableau_poly_C_special
+    although the two sums differ term by term.
     """
     Tm = _family_T("C", T)
     if n < 1 or r < 0:
         raise UsageError("need n >= 1, r >= 0")
-    return _from_terms(n, _terms_C_general(n, r, Tm))
+    return _from_terms(n, _terms_free_T("C", n, r, Tm))
 
 
 # ---------------------------------------------------------------------------

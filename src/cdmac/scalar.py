@@ -232,7 +232,7 @@ class Scalar:
             mono = self.den.min_exps()
             factors = ((self.den.shift(tuple(-e for e in mono)), 1),)
         else:
-            mono = self.den_unit()[1]
+            mono = self.unit[1]
         if not any(mono) and all(p.is_monomial() for p, _ in factors):
             return self  # den == 1
         return Scalar(*_cancel_den_factors(self.num, mono, factors))
@@ -264,9 +264,10 @@ class Scalar:
 class _FactoredDenScalar(Scalar):
     """A sum_factored result with its denominator's factorization attached.
 
-    den is unit's monomial times prod p**need over den_factors, a tuple of
-    (primitive binomial SparsePoly, need) pairs.  Factored ==, canonical and
-    den_unit read only those, so sum_factored leaves den to its first read.
+    den is c * x^m times prod p**need over den_factors, a tuple of
+    (primitive binomial SparsePoly, need) pairs, with unit = (c, m) set by
+    sum_factored.  Factored == and canonical read only those, so
+    sum_factored leaves den to its first read.
     """
 
     __slots__ = ("den_factors", "unit")
@@ -276,19 +277,6 @@ class _FactoredDenScalar(Scalar):
             raise AttributeError(name)
         self.den = _expand_den(*self.unit, self.den_factors)
         return self.den
-
-    def den_unit(self) -> tuple[Fraction, tuple[int, int, int]]:
-        """(c, m) with den == c * x^m * prod p**need over den_factors.
-
-        sum_factored records it as unit when it builds the value.  Every p is
-        primitive with a positive leading coefficient and has no monomial
-        factor (_binomial_parts), so c is den's content and x^m its monomial
-        content, which is where a value assembled by hand reads them.
-        """
-        try:
-            return self.unit
-        except AttributeError:
-            return self.den.content, self.den.min_exps()
 
 
 def _expand_den(c: Fraction, mono, den_factors) -> SparsePoly:
@@ -312,8 +300,8 @@ def _factored_eq(a: _FactoredDenScalar, b: _FactoredDenScalar) -> bool:
         lhs, rhs = poly.times_power(lhs, p.prim, extra), poly.times_power(rhs, p.prim, -extra)
     for p, need in mine.values():
         rhs = poly.times_power(rhs, p.prim, need)
-    ca, ma = a.den_unit()
-    cb, mb = b.den_unit()
+    ca, ma = a.unit
+    cb, mb = b.unit
     low = tuple(map(min, ma, mb))
     return _times_unit(SparsePoly(a.num.content, lhs, _normalized=True), cb, mb, low) == \
         _times_unit(SparsePoly(b.num.content, rhs, _normalized=True), ca, ma, low)

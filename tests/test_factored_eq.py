@@ -114,7 +114,7 @@ def synthetic_misses(seeds) -> list:
 def test_route_den_is_monomial_part_times_binomial_powers(case):
     for v in route_values(case):
         assert isinstance(v, _FactoredDenScalar)
-        c, m = v.den_unit()
+        c, m = v.unit
         expect = SparsePoly.const(c).shift(m)
         for p, need in v.den_factors:
             assert len(p.prim) <= 2 and need > 0
@@ -147,6 +147,7 @@ def test_perturbed_numerator_compares_unequal(case):
         for w, v in p.terms.items():
             bumped = _FactoredDenScalar(v.num + SparsePoly.one(), v.den, _normalized=True)
             bumped.den_factors = v.den_factors
+            bumped.unit = v.unit
             for other in outs.values():  # the same value, over each route's LCD
                 assert other.terms[w] == v
                 assert not bumped == other.terms[w] and not other.terms[w] == bumped

@@ -14,7 +14,8 @@ table of FactoredScalar and in the polynomial product that every exact sum
 runs.  The last three plant faults in the lazily built denominator of a
 sum_factored result, in FactoredScalar.times, which merges the shared
 prefactor and blocks into every term, and in the letter counts of the G_r
-terms.
+terms.  One more plants a fault in the l-loop of the free-T tableau sum,
+which family D and family C at every T but t^2/q share.
 """
 
 import random
@@ -178,8 +179,8 @@ def test_factored_eq_skipping_extra_copies_caught_by_oracle(monkeypatch):
         # the other side's monomial part and content only, no binomial copies
         if test_factored_eq.lcd(a) != test_factored_eq.lcd(b):
             fired.append((a, b))
-        ca, ma = a.den_unit()
-        cb, mb = b.den_unit()
+        ca, ma = a.unit
+        cb, mb = b.unit
         return a.num.scaled(cb).shift(mb) == b.num.scaled(ca).shift(ma)
     monkeypatch.setattr(scalar, "_factored_eq", skip_extra_copies)
     misses = [m for case in test_factored_eq.GRID
@@ -669,3 +670,45 @@ def test_off_by_one_g_terms_caught_by_tableau(monkeypatch):
                      "C eigen": True,
                      "C principal closed form": True,
                      "G_2 expansion, T = 5/7": False}
+
+
+def test_off_by_one_free_T_step_caught_by_inversion(monkeypatch):
+    fired = []
+    last = []  # the term and l of the last read that was bumped
+    real = macdonald._tq
+
+    def s_plus_two(a, b):
+        # the first factor of an l step of the free-T sum,
+        # (t^(n-l-1) q^(S+1); q)_tl, is read at q^(S+2); the last one of the
+        # step, at q^(Sp+1), has the same arguments when S = Sp and is left
+        # alone
+        caller = sys._getframe(1)
+        loc = caller.f_locals
+        if caller.f_code is macdonald._terms_free_T.__code__ and "S" in loc:
+            fs, l = loc["fs"], loc["l"]
+            if (a, b) == (loc["n"] - l - 1, loc["S"] + 1) and \
+                    not (last and last[0] is fs and last[1] == l):
+                last[:] = [fs, l]
+                fired.append(l)
+                b += 1
+        return real(a, b)
+    monkeypatch.setattr(macdonald, "_tq", s_plus_two)
+    certs = {f"D {key}": value for key, value in _eigen_certificates("D", 2, 3).items()}
+    certs["C general(t^2/q) = C special"] = \
+        macdonald.tableau_poly_C_general(2, 3, macdonald.T_SPECIAL) == \
+        macdonald.tableau_poly_C_special(2, 3)
+    for label, T in (("t^2/q", macdonald.T_SPECIAL), ("5/7", Fraction(5, 7))):
+        certs[f"C {label} tableau = inversion"] = \
+            macdonald.tableau_poly("C", 2, 3, T) == macdonald.lassalle_invert("C", 2, 3, T)
+    assert fired
+    # data: family D and C at every T but t^2/q run the faulted sum; the
+    # special sum at t^2/q, the inversion route and the correlation route's
+    # two paths build no free-T term
+    assert certs == {"D tableau = inversion": False,
+                     "D tableau = correlation": False,
+                     "D correlation = full path": True,
+                     "D eigen": False,
+                     "D principal closed form": False,
+                     "C general(t^2/q) = C special": False,
+                     "C t^2/q tableau = inversion": True,
+                     "C 5/7 tableau = inversion": False}

@@ -118,8 +118,32 @@ def test_type_c_row_one_is_t_independent():
 
 
 def test_family_d_equals_family_c_at_one():
+    # both sides run the free-T generator, over the D and the C alphabet, so
+    # this checks only that the C terms with theta > 0 vanish at T = 1
     for (n, r) in [(1, 2), (2, 2), (2, 3)]:
         assert tableau_poly_D(n, r) == tableau_poly_C_general(n, r, F(1))
+
+
+def test_no_tableau_route_builds_an_empty_q_factorial(monkeypatch):
+    # (z;q)_0 = 1, so a term skips each block of length 0: a tableau with
+    # theta = 0, every D tableau among them, builds no degenerate-pair block
+    empty = []
+    for name in ("times_poch", "div_poch"):
+        def counted(self, z, k, real=getattr(FactoredScalar, name)):
+            if k == 0:
+                empty.append(z)
+            return real(self, z, k)
+        monkeypatch.setattr(FactoredScalar, name, counted)
+    counts = {}
+    for label, build in (("D", lambda: tableau_poly("D", 3, 4)),
+                         ("C t^2/q", lambda: tableau_poly("C", 3, 4, T_SPECIAL)),
+                         ("C symbolic", lambda: tableau_poly("C", 2, 3, Mon.T())),
+                         ("C 5/7", lambda: tableau_poly("C", 2, 3, F(5, 7))),
+                         ("C general at t^2/q", lambda: tableau_poly_C_general(2, 3, T_SPECIAL))):
+        empty.clear()
+        build()
+        counts[label] = len(empty)
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def test_tableau_outputs_are_hyperoctahedral():

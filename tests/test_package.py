@@ -43,3 +43,23 @@ def test_traced_layers_keep_their_names():
         owner = importlib.import_module(f"cdmac.{mod}")
         for qual in attrs:
             assert callable(functools.reduce(getattr, qual.split("."), owner)), (mod, qual)
+
+
+def test_every_private_definition_is_referenced():
+    # a deleted path must not leave its helpers behind: every module-level
+    # private def or class is read somewhere in the package, by name or as
+    # an attribute
+    defined, used = [], set()
+    for path in Path(cdmac.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    node.name.startswith("_") and not node.name.startswith("__"):
+                defined.append((path.name, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert not [(mod, name) for mod, name in defined if name not in used]

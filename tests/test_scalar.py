@@ -311,7 +311,7 @@ def test_sum_factored_matches_plain_scalar_sum(seed):
     s = sum_factored([_factored(recipe) for recipe in recipes])
     assert s == expected
     # den is its monomial part times prod p^need over den_factors
-    c, mono = s.den_unit()
+    c, mono = s.unit
     den = SparsePoly.const(c).shift(mono)
     for p, need in s.den_factors:
         for _ in range(need):
